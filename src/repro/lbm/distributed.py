@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..mpisim.comm import Communicator
-from .d2q9 import bounce_back, collide, macroscopics, stream
+from .d2q9 import D2Q9Kernel, macroscopics
 from .decompose import slab_rows
 from .fields import vorticity
 from .halo import exchange_ghost_rows
@@ -32,7 +32,9 @@ class DistributedLbm:
         self.rows = self.y1 - self.y0
         # Interior rows 1..rows; ghost rows 0 and rows+1.
         self.solid = config.barrier_mask((self.y0, self.y1))
-        self.f = config.inflow_equilibrium(self.rows + 2).copy()
+        self.f = config.inflow_equilibrium(self.rows + 2)
+        self._kernel = D2Q9Kernel(self.solid, config.omega, halo=1)
+        self._edge = config.inflow_equilibrium(1)[:, 0, :]  # (9, nx)
         self.step_count = 0
 
     @property
@@ -41,17 +43,17 @@ class DistributedLbm:
         return self.f[:, 1:-1, :]
 
     def step(self, n: int = 1) -> None:
-        config = self.config
+        kernel, f, interior = self._kernel, self.f, self.interior
         for _ in range(n):
-            collide(self.interior, config.omega, skip=self.solid)
-            exchange_ghost_rows(self.comm, self.f)
-            stream(self.f)
-            bounce_back(self.interior, self.solid)
+            kernel.collide(interior)
+            exchange_ghost_rows(self.comm, f)
+            kernel.stream(f)
+            kernel.bounce_back(interior)
             self._apply_boundaries()
             self.step_count += 1
 
     def _apply_boundaries(self) -> None:
-        edge = self.config.inflow_equilibrium(1)[:, 0, :]  # (9, nx)
+        edge = self._edge
         col = edge[:, :1]
         interior = self.interior
         interior[:, :, 0] = col

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .d2q9 import (
-    bounce_back,
-    collide,
-    equilibrium,
-    macroscopics,
-    omega_from_viscosity,
-    stream,
-)
+from .d2q9 import D2Q9Kernel, equilibrium, macroscopics, omega_from_viscosity
 from .fields import vorticity
 
 
@@ -111,21 +104,23 @@ class SerialLbm:
     def __init__(self, config: LbmConfig) -> None:
         self.config = config
         self.solid = config.barrier_mask()
-        self.f = config.inflow_equilibrium(config.ny).copy()
+        self.f = config.inflow_equilibrium(config.ny)
+        self._kernel = D2Q9Kernel(self.solid, config.omega)
+        self._edge = config.inflow_equilibrium(1)[:, 0, :]  # (9, nx)
         self.step_count = 0
 
     def step(self, n: int = 1) -> None:
-        config = self.config
+        kernel, f = self._kernel, self.f
         for _ in range(n):
-            collide(self.f, config.omega, skip=self.solid)
-            stream(self.f)
-            bounce_back(self.f, self.solid)
+            kernel.collide(f)
+            kernel.stream(f)
+            kernel.bounce_back(f)
             self._apply_boundaries()
             self.step_count += 1
 
     def _apply_boundaries(self) -> None:
         """Re-impose uniform inflow on all four domain borders."""
-        edge = self.config.inflow_equilibrium(1)[:, 0, :]  # (9, nx)
+        edge = self._edge
         self.f[:, 0, :] = edge
         self.f[:, -1, :] = edge
         col = edge[:, :1]  # (9, 1) uniform value per direction

@@ -436,7 +436,7 @@ class FrameHub:
             else self.quality
         )
         started = time.perf_counter()
-        encode_s = 0.0
+        render_s = encode_s = 0.0
         with self._lock:
             queues = list(self._viewers.values())
         by_layout: dict[tuple, list[ViewerQueue]] = {}
@@ -452,10 +452,13 @@ class FrameHub:
                 viewers=len(audience),
             ):
                 field = self._assemble(layout, slabs)
+                render_started = time.perf_counter()
+                with TRACER.span("serve.render", frame=frame_index):
+                    rgb = render_scalar_field(field, BLUE_WHITE_RED, symmetric=True)
                 encode_started = time.perf_counter()
                 with TRACER.span("serve.encode", frame=frame_index):
-                    rgb = render_scalar_field(field, BLUE_WHITE_RED, symmetric=True)
                     blob = encode_rgb(np.ascontiguousarray(rgb), quality=quality)
+                render_s += encode_started - render_started
                 encode_s += time.perf_counter() - encode_started
             frame = ServedFrame(
                 frame_index, key, blob, field.shape,
@@ -477,7 +480,8 @@ class FrameHub:
         self.metrics.incr("serve.frames_published")
         elapsed = time.perf_counter() - started
         self.metrics.observe("serve.publish", elapsed)
-        if encode_s:
+        if by_layout:
+            self.metrics.observe("serve.render", render_s)
             self.metrics.observe("serve.encode", encode_s)
         cache_stats = self.mapping_cache.stats()
         self.metrics.gauge("serve.pool_bytes", cache_stats["pool_bytes"])

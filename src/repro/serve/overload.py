@@ -171,14 +171,19 @@ class OverloadController:
         """Fold one publish epoch's signals out of a ``MetricsRegistry``.
 
         Histograms are cumulative, so publish/encode latencies are read as
-        deltas since the previous call (this epoch's mean seconds); drop
+        deltas since the previous call (this epoch's mean seconds).  The
+        encode signal is the frame's whole image cost: ``serve.render``
+        (colormap) plus ``serve.encode`` (JPEG).  Drop
         rate comes from the ``serve.frames_coalesced`` /
         ``serve.frames_delivered`` counter deltas; pool bytes from the
         ``serve.pool_bytes`` gauge unless passed explicitly.  Returns the
         (possibly updated) ladder level.
         """
         publish_s = self._hist_delta(registry, "serve.publish")
+        render_s = self._hist_delta(registry, "serve.render")
         encode_s = self._hist_delta(registry, "serve.encode")
+        if render_s is not None:
+            encode_s = render_s + (encode_s or 0.0)
         coalesced = self._counter_delta(registry, "serve.frames_coalesced")
         delivered = self._counter_delta(registry, "serve.frames_delivered")
         drop_rate = None

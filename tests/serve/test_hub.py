@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Redistributor
+from repro.obs import tracing
 from repro.mpisim.executor import world_communicators
 from repro.serve import (
     ConsumerLayout,
@@ -72,6 +73,31 @@ class TestHub:
             assert frame.jpeg[:2] == b"\xff\xd8"
             assert frame.shape == queue.layout.frame_shape()
         hub.close()
+
+    def test_render_and_encode_are_sibling_spans_under_publish(self):
+        source = SyntheticSource(NX, NY, m=M)
+        hub = FrameHub(NX, NY, m=M)
+        for layout in LAYOUTS:
+            hub.register(layout)
+        with tracing() as tracer:
+            hub.publish(0, source.slabs(0))
+        hub.close()
+        spans = {name: [] for name in ("serve.publish", "serve.render", "serve.encode")}
+        for record in tracer.records():
+            spans.get(record.name, []).append(record)
+        assert len(spans["serve.publish"]) == len(LAYOUTS)
+        for publish in spans["serve.publish"]:
+            end = publish.start_us + publish.dur_us
+            (render,) = [
+                r for r in spans["serve.render"] if publish.start_us <= r.start_us <= end
+            ]
+            (encode,) = [
+                r for r in spans["serve.encode"] if publish.start_us <= r.start_us <= end
+            ]
+            assert render.start_us + render.dur_us <= encode.start_us
+            assert encode.start_us + encode.dur_us <= end
+        for name in ("serve.render", "serve.encode"):
+            assert hub.metrics.histograms[name].count == 1
 
     def test_mapping_cache_shared_across_viewers_and_frames(self):
         source = SyntheticSource(NX, NY, m=M)

@@ -117,6 +117,23 @@ class TestRegistryDeltas:
         controller.observe_registry(registry)
         assert controller.publish_ewma == pytest.approx(0.001)
 
+    def test_encode_signal_is_render_plus_encode(self):
+        """The hub records colormap and JPEG time as two histograms; the
+        ladder's encode EWMA sees their sum, as it saw the single
+        ``serve.encode`` histogram before the split."""
+        from repro.obs.metrics import MetricsRegistry
+
+        policy = SloPolicy(encode_slo_s=0.01, breach_steps=2, clear_steps=2)
+        split, whole = OverloadController(policy), OverloadController(policy)
+        registry = MetricsRegistry()
+        for render_s, encode_s in ((0.125, 0.25), (0.0625, 0.03125), (0.5, 0.75)):
+            registry.observe("serve.render", render_s)
+            registry.observe("serve.encode", encode_s)
+            split.observe_registry(registry)
+            whole.observe(encode_s=render_s + encode_s)
+            assert split.encode_ewma == whole.encode_ewma
+            assert split.level == whole.level
+
     def test_drop_rate_comes_from_counter_deltas(self):
         from repro.obs.metrics import MetricsRegistry
 
