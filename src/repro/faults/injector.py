@@ -181,9 +181,9 @@ class FaultLayer:
                 f"({self.plan.summary()})"
             )
 
-    def _delay(self, rank: int, op: int) -> None:
+    def _delay(self, rank: int, op: int, tag: Optional[int] = None) -> None:
         assert self.plan is not None
-        seconds = self.plan.delay_s(rank, op)
+        seconds = self.plan.delay_s(rank, op, tag)
         if seconds > 0:
             self.stats.incr("delays")
             if TRACER.enabled:
@@ -229,7 +229,7 @@ class FaultLayer:
         op = self._next_op(rank)
         tag = getattr(message, "tag", None)
         self._check_crash(rank, op)
-        self._delay(rank, op)
+        self._delay(rank, op, tag)
         self._transient("send", rank, op)
         if self.plan.drop(rank, op, tag, self._drops.get(rank, 0)):
             self._drops[rank] = self._drops.get(rank, 0) + 1

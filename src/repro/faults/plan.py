@@ -134,9 +134,13 @@ class FaultPlan:
 
     # -- queries (one per injection point) -----------------------------------
 
-    def delay_s(self, rank: int, op: int) -> float:
-        """Seconds to stall this operation (0.0 = no delay)."""
-        spec = self._scripted(KIND_DELAY, rank, op, None)
+    def delay_s(self, rank: int, op: int, tag: Optional[int] = None) -> float:
+        """Seconds to stall this operation (0.0 = no delay).
+
+        ``tag`` is the outgoing message's tag on a send.  Receives are
+        tagless (``None``), so a tag-scoped delay stalls only the send.
+        """
+        spec = self._scripted(KIND_DELAY, rank, op, tag)
         if spec is not None:
             return spec.delay_s
         if self.p_delay and op < self.ops:

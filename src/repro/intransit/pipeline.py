@@ -6,6 +6,29 @@ DDR to reshape slices into near-square rectangles (Figure 5), render them
 through the blue-white-red colormap, assemble the frame, and save it as a
 compressed JPEG instead of raw floats — the storage trade Table IV
 quantifies.
+
+One per-rank driver runs every mode.  A fixed M-to-N run is the case with
+no reconfiguration; two triggers reconfigure a live run:
+
+* **failure** (``on_rank_loss="shrink"``): the first rank to notice a
+  crash revokes the world, waking every survivor out of whatever it was
+  blocked in; the survivors agree on the dead (and retired) set and on the
+  rollback frame — the minimum any survivor still needs, forced to 0 when
+  the analysis root (the ledger holder) died — shrink the world, and
+  restore the rollback frame's LBM state from buddy checkpoints that every
+  simulation rank deposits at the start of each frame;
+* **schedule** (``on_load="resize"``): at each ``resize_schedule`` frame
+  the whole rank pool re-splits from live state.
+
+Both then run the same three steps: roles by position in the current world
+(``rank < m`` simulates, ``rank < m + n`` analyses, the rest park — shrink
+preserves order, so survivors keep their sides); one components=9 DDR
+exchange on a persistent world-spanning redistributor migrates the LBM
+state onto the new slab decomposition; and the old analysis root hands its
+``(frame, variable)``-keyed ledger to the new one.  The LBM is
+deterministic and a replayed frame overwrites its ledger slot, so a
+recovered or resized run renders bitwise the frames of a fixed run (unless
+a restore had to fall back to an older checkpoint).
 """
 
 from __future__ import annotations
@@ -18,14 +41,25 @@ from typing import Optional
 import numpy as np
 
 from ..core.api import Redistributor
+from ..core.engine import ENGINES
 from ..faults.policy import ReliabilityPolicy
 from ..io.raw import raw_frame_bytes, write_raw
 from ..jpeg.encoder import encode_rgb
+from ..lbm.decompose import slab_box
 from ..lbm.distributed import DistributedLbm
 from ..lbm.simulation import LbmConfig
 from ..mpisim.comm import Communicator
+from ..mpisim.errors import (
+    DeadlineError,
+    MpiSimError,
+    ProcessFailedError,
+    RankCrashError,
+    RevokedError,
+)
 from ..obs.tracer import TRACER
-from ..resilience.checkpoint import CheckpointPolicy
+from ..resilience.checkpoint import CheckpointPolicy, shared_store
+from ..resilience.errors import DataLossError, ReconfigurationError
+from ..resilience.redistributor import RESILIENCE_STATS
 from ..viz.colormaps import BLUE_WHITE_RED, GRAYSCALE
 from ..viz.image import assemble_tiles, render_scalar_field
 from ..volren.decompose import grid_boxes, grid_shape
@@ -59,6 +93,18 @@ ON_LOAD_RESIZE = "resize"  # re-split the rank pool at scheduled frames
 
 ON_LOAD_MODES = (ON_LOAD_IGNORE, ON_LOAD_RESIZE)
 
+#: Roles a rank can hold between reconfigurations.
+ROLE_SIM = "sim"
+ROLE_ANALYSIS = "analysis"
+ROLE_PARKED = "parked"
+
+#: Fabric.shared key for the simulation-state checkpoint store (kept apart
+#: from the exchange-level buddy store of ResilientRedistributor).
+STATE_STORE_KEY = "pipeline_state_store"
+
+#: Shrink-mode reconfigurations one rank will attempt before giving up.
+MAX_RECOVERIES = 3
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -85,20 +131,20 @@ class PipelineConfig:
     abort), ``"shrink"`` reconfigures the pipeline over the survivors —
     consumer loss re-partitions the analysis layout, producer loss
     restores the lost simulation slab from buddy checkpoints — and
-    replays from the agreed rollback frame (see
-    :mod:`repro.intransit.resilient`).  ``checkpoint`` tunes the buddy
+    replays from the agreed rollback frame (the failure trigger of the
+    module's one driver).  ``checkpoint`` tunes the buddy
     replication; ``None`` uses a :class:`~repro.resilience.CheckpointPolicy`
     that retains every frame.
 
-    ``on_load="resize"`` enables *voluntary* elastic reconfiguration (see
-    :mod:`repro.intransit.elastic`): ``resize_schedule`` is a tuple of
+    ``on_load="resize"`` enables *voluntary* elastic reconfiguration (the
+    driver's schedule trigger): ``resize_schedule`` is a tuple of
     ``(frame, m, n)`` triples, and at each scheduled frame the whole rank
     pool re-splits into ``m`` simulation + ``n`` analysis ranks (either
     side may grow or shrink independently; ranks left over are parked
     until a later entry drafts them back).  Simulation state migrates onto
     the new slab decomposition through a components=9 DDR exchange on one
     persistent world-wide redistributor — each resize is a fresh
-    ``LocalMapping`` generation, the same lifecycle crash recovery uses.
+    ``LocalMapping`` generation, the same path crash recovery takes.
     Such schedules are typically produced by an
     :class:`~repro.autoscale.Autoscaler` watching exchange-time and
     queue-depth metrics.  ``on_load="resize"`` composes with the frame-drop
@@ -191,10 +237,10 @@ class PipelineConfig:
             raise ValueError(
                 "reliability must be a ReliabilityPolicy or None"
             )
-        if self.backend not in (None, "alltoallw", "p2p", "auto", "bounded"):
+        if self.backend is not None and self.backend not in ENGINES:
             raise ValueError(
-                f"unknown backend {self.backend!r}; choose 'alltoallw', 'p2p', "
-                "'auto', 'bounded', or None for the process default"
+                f"unknown backend {self.backend!r}; choose one of "
+                f"{sorted(ENGINES)}, or None for the process default"
             )
         if self.steps % self.output_every != 0:
             raise ValueError(
@@ -261,29 +307,398 @@ class PipelineResult:
 
 def run_pipeline(world: Communicator, config: PipelineConfig) -> PipelineResult:
     """SPMD entry point: call on every rank of a (m + n)-rank world."""
-    if config.on_load == ON_LOAD_RESIZE:
-        from .elastic import run_elastic_pipeline
-
-        return run_elastic_pipeline(world, config)
-    if config.on_rank_loss == ON_RANK_LOSS_SHRINK:
-        # Deferred import: the resilient runner pulls in the recovery
-        # stack, which plain fail-mode pipelines never need.
-        from .resilient import run_resilient_pipeline
-
-        return run_resilient_pipeline(world, config)
-    topology = StreamTopology(config.m, config.n, config.lbm.nx, config.lbm.ny)
-    if world.size != topology.world_size():
+    if world.size != config.m + config.n:
         raise ValueError(
-            f"world has {world.size} ranks; config needs {topology.world_size()}"
+            f"world has {world.size} ranks; config needs {config.m + config.n}"
         )
-    is_sim = topology.is_sim(world.rank)
-    sub = world.Split(0 if is_sim else 1, key=world.rank)
-    assert sub is not None
+    return _Driver(world, config).run()
 
-    if is_sim:
-        _run_simulation(world, sub, topology, config)
-        return PipelineResult(role="sim", frames=config.n_frames)
-    return _run_analysis(world, sub, topology, config)
+
+class _Driver:
+    """Per-rank state machine; role state is rebuilt at every reconfiguration."""
+
+    def __init__(self, world: Communicator, config: PipelineConfig) -> None:
+        self.config = config
+        self.world = world
+        self.my_world = world.world_rank_of(world.rank)
+        self.shrink = config.on_rank_loss == ON_RANK_LOSS_SHRINK
+        self.schedule = {f: (m, n) for f, m, n in (config.resize_schedule or ())}
+        self.recoveries = self.ranks_lost = self.resizes = 0
+        self.ledger: dict = {}  # (frame, var_index) -> entry, analysis root only
+        if self.shrink:
+            # Every frame must stay restorable, so the default checkpoint
+            # policy retains all of them.
+            self.policy = config.checkpoint or CheckpointPolicy(retain=None)
+            self.store = shared_store(world.fabric, key=STATE_STORE_KEY)
+        # One world-spanning state mover reused across every reconfiguration:
+        # each is a new mapping generation, not a new redistributor (LBM
+        # populations are float64, 9 components).
+        self.mover = Redistributor(world, ndims=2, dtype=np.float64, components=9)
+        self._assume_roles(config.m, config.n)
+
+    # -- role assignment -----------------------------------------------------
+
+    def _assume_roles(
+        self, m: int, n: int, frame: int = 0, migrated: Optional[np.ndarray] = None
+    ) -> None:
+        """Roles by position: ranks ``[0, m)`` simulate, ``[m, m+n)`` analyse,
+        the rest park.  Shrink preserves order, so this holds for both
+        reconfiguration triggers."""
+        config = self.config
+        nx, ny = config.lbm.nx, config.lbm.ny
+        rank = self.world.rank
+        self.m, self.n = m, n
+        self.role = (
+            ROLE_SIM if rank < m else ROLE_ANALYSIS if rank < m + n else ROLE_PARKED
+        )
+        self.topology = StreamTopology(m, n, nx, ny)
+        color = {ROLE_SIM: 0, ROLE_ANALYSIS: 1, ROLE_PARKED: -1}[self.role]
+        self.sub = self.world.Split(color, key=rank)
+        if self.role == ROLE_SIM:
+            self.slab = self.topology.sim_slab(self.sub.rank)
+            self.sender = StreamSender(self.world, self.topology, self.sub.rank)
+            self.sim = DistributedLbm(self.sub, config.lbm)
+            if migrated is not None:
+                self.sim.f[:, 1:-1, :] = np.moveaxis(migrated, -1, 0)
+                self.sim.step_count = frame * config.output_every
+        elif self.role == ROLE_ANALYSIS:
+            self.receiver = StreamReceiver(self.world, self.topology, self.sub.rank)
+            # The analysis layout: rectangles "as close to square as
+            # possible" (paper: Figure 5), versus the sims' full-width slices.
+            self.need = grid_boxes((nx, ny), grid_shape(n, (nx, ny)))[self.sub.rank]
+            self.red = Redistributor(
+                self.sub, ndims=2, dtype=np.float32, backend=config.backend,
+                reliability=config.reliability,
+            )
+            with TRACER.span("phase.ddr_setup", backend=self.red.backend):
+                # Once per role assignment; reused by every frame.
+                self.red.setup(own=self.receiver.owned_chunks, need=self.need)
+            self.tile_buffer = np.empty(self.need.np_shape(), dtype=np.float32)
+            # Degraded-mode state: the last good *input* slabs per variable
+            # (zeros until a variable's first complete frame).
+            self.last_slabs = {
+                i: [
+                    np.zeros(slab.np_shape(), dtype=np.float32)
+                    for _, slab in self.receiver.sources
+                ]
+                for i in range(len(config.variables))
+            }
+            self.origin = (self.need.offset[1], self.need.offset[0])  # (y, x)
+
+    # -- the frame loop ------------------------------------------------------
+
+    def run(self) -> PipelineResult:
+        frame = 0
+        while frame < self.config.n_frames:
+            try:
+                if frame in self.schedule:
+                    self._resize(frame, *self.schedule[frame])
+                if self.role == ROLE_SIM:
+                    self._sim_frame(frame)
+                elif self.role == ROLE_ANALYSIS:
+                    self._analysis_frame(frame)
+                # Parked ranks do nothing until the next boundary's collectives.
+                frame += 1
+            except MpiSimError as exc:
+                if not self._recoverable(exc):
+                    raise
+                frame = self._recover(frame)
+        if self.role == ROLE_ANALYSIS:
+            self._sweep_stragglers()
+        if self.shrink:
+            # Clean exit: leave the liveness table so late agreements
+            # elsewhere don't wait on us; our checkpoints stay readable.
+            # Shrink mode only, because retiring sets the fabric hazard flag.
+            self.world.fabric.mark_retired(self.my_world)
+        return self._result()
+
+    def _sim_frame(self, frame: int) -> None:
+        config = self.config
+        if self.shrink:
+            # Deposit *before* stepping (pure memory, cannot fault): the
+            # state entering frame f is what a rollback to f must restore.
+            holders = self.policy.holder_world_ranks(
+                self.sub.rank, self.world.world_ranks[: self.m]
+            )
+            self.store.deposit(
+                self.my_world, frame, holders,
+                [(self.slab, np.moveaxis(self.sim.interior, 0, -1))],
+                retain=self.policy.retain,
+            )
+            RESILIENCE_STATS.incr("deposits")
+        with TRACER.span("phase.sim_step", frame=frame):
+            self.sim.step(config.output_every)
+            fields = _sim_fields(self.sim, config.variables)
+        for var_index, name in enumerate(config.variables):
+            with TRACER.span("phase.stream_send", frame=frame, variable=name):
+                self.sender.send_frame(frame, fields[name], var_index)
+
+    def _analysis_frame(self, frame: int) -> None:
+        config = self.config
+        for var_index, name in enumerate(config.variables):
+            # Receive under the frame-drop policy.  "fail" keeps the
+            # original blocking semantics (fabric watchdog backstop); the
+            # degraded modes bound the wait and carry on without the data.
+            status = "ok"
+            with TRACER.span("phase.stream_recv", frame=frame, variable=name):
+                if config.frame_drop == FRAME_DROP_FAIL:
+                    slabs = self.receiver.recv_frame(frame, var_index)
+                else:
+                    slabs = self.receiver.try_recv_frame(
+                        frame, var_index, config.effective_frame_deadline_s
+                    )
+                    if slabs is None:
+                        status = (
+                            "dropped" if config.frame_drop == FRAME_DROP_SKIP
+                            else "stale"
+                        )
+                        if TRACER.enabled:
+                            with TRACER.span(
+                                "fault.frame_drop", frame=frame, variable=name,
+                                policy=config.frame_drop,
+                            ):
+                                pass
+            if status == "ok":
+                self.last_slabs[var_index] = slabs
+            else:
+                # Frame loss is local: the exchange is collective over the
+                # analysis ranks, so a rank whose receive timed out still
+                # joins it, re-sending its last good slabs.  Peers keep
+                # fresh data where they have it; only our region goes stale.
+                slabs = self.last_slabs[var_index]
+            with TRACER.span("phase.redistribute", frame=frame, variable=name):
+                self.red.exchange(slabs, self.tile_buffer)  # per-frame DDR call
+
+            tile_rgb: Optional[np.ndarray] = None
+            if status != "dropped":
+                with TRACER.span("phase.render", frame=frame, variable=name):
+                    tile_rgb = _render_variable(self.tile_buffer, name, config)
+            # The raw baseline tracks the first (primary) variable only,
+            # matching Table IV's "one variable of interest".
+            want_raw = var_index == 0 and config.save_raw and self._is_raw_frame(frame)
+            raw_tile = (
+                self.tile_buffer.copy() if want_raw and status != "dropped" else None
+            )
+            gathered = self.sub.gather(
+                (self.origin, tile_rgb, raw_tile, status), root=0
+            )
+            if self.sub.rank == 0:
+                self._record(frame, var_index, name, gathered, want_raw)
+
+    def _is_raw_frame(self, frame: int) -> bool:
+        return (
+            self.config.raw_every_frames is None
+            or frame % self.config.raw_every_frames == 0
+        )
+
+    def _record(
+        self, frame: int, var_index: int, name: str, gathered: list, want_raw: bool
+    ) -> None:
+        """Root-side per-(frame, variable) ledger entry.
+
+        Keyed writes make replay idempotent: a frame re-processed after a
+        reconfiguration overwrites its earlier entry instead of counting
+        twice.  Totals are assembled once the loop finishes.
+        """
+        config = self.config
+        nx, ny = config.lbm.nx, config.lbm.ny
+        statuses = [s for _, _, _, s in gathered]
+        if "dropped" in statuses:
+            # skip policy: the frame is lost; later frames keep coming.
+            self.ledger[(frame, var_index)] = {"status": "dropped"}
+            return
+        entry: dict = {"status": "stale" if "stale" in statuses else "ok"}
+        with TRACER.span("phase.encode", frame=frame, variable=name):
+            frame_rgb = assemble_tiles(
+                [(o, rgb) for o, rgb, _, _ in gathered], (ny, nx)
+            )
+            blob = encode_rgb(frame_rgb, quality=config.quality)
+        entry["jpeg"] = len(blob)
+        if var_index == 0 and config.keep_frames:
+            entry["rgb"] = frame_rgb
+        if config.save_dir is not None:
+            directory = Path(config.save_dir)
+            directory.mkdir(parents=True, exist_ok=True)
+            suffix = "" if len(config.variables) == 1 else f"_{name}"
+            (directory / f"frame_{frame:05d}{suffix}.jpg").write_bytes(blob)
+            if want_raw and all(tf is not None for _, _, tf, _ in gathered):
+                # Reassemble the full float field for the baseline path.
+                raw = np.zeros((ny, nx), dtype=np.float32)
+                for (r0, c0), _, tile_field, _ in gathered:
+                    th, tw = tile_field.shape
+                    raw[r0 : r0 + th, c0 : c0 + tw] = tile_field
+                write_raw(directory / f"frame_{frame:05d}.raw", raw)
+        self.ledger[(frame, var_index)] = entry
+
+    def _sweep_stragglers(self) -> None:
+        """Drain the slabs of frames abandoned near the end of the run: they
+        have no later receive call to purge them.  The wait is bounded — a
+        straggler whose send was dropped outright by the fault layer will
+        never arrive and must not stall shutdown."""
+        if self.config.frame_drop == FRAME_DROP_FAIL:
+            return
+        deadline = time.monotonic() + min(self.config.effective_frame_deadline_s, 1.0)
+        while self.receiver.abandoned_count() and time.monotonic() < deadline:
+            if self.receiver.purge_abandoned() == 0:
+                time.sleep(0.001)
+
+    # -- reconfiguration -----------------------------------------------------
+
+    def _resize(self, frame: int, m: int, n: int) -> None:
+        """Schedule trigger: re-split the pool from live state (bit-exact)."""
+        self.resizes += 1
+        RESILIENCE_STATS.incr("pipeline_resizes")
+        with TRACER.span("resilience.pipeline_resize", frame=frame, m=m, n=n):
+            source = []
+            if self.role == ROLE_SIM:
+                state = np.ascontiguousarray(np.moveaxis(self.sim.interior, 0, -1))
+                source = [(self.slab, state)]
+            self._reconfigure(frame, m, n, source, old_root=self.m)
+
+    def _recoverable(self, exc: MpiSimError) -> bool:
+        if not self.shrink or self.recoveries >= MAX_RECOVERIES:
+            return False
+        if isinstance(exc, RankCrashError):
+            return False  # this rank is the victim
+        if isinstance(exc, (DataLossError, ReconfigurationError)):
+            return False  # terminal by definition
+        if isinstance(exc, (RevokedError, ProcessFailedError)):
+            return True
+        if isinstance(exc, DeadlineError):
+            fabric = self.world.fabric
+            return any(fabric.is_dead(w) for w in self.world.world_ranks)
+        return False
+
+    def _recover(self, frame: int) -> int:
+        """Failure trigger: revoke, agree on the dead set and the rollback
+        frame, shrink, restore from buddy checkpoints; returns the rollback
+        frame."""
+        self.recoveries += 1
+        RESILIENCE_STATS.incr("pipeline_recoveries")
+        fabric = self.world.fabric
+        with TRACER.span("resilience.pipeline_recover", rank=self.my_world):
+            self.world.revoke()
+            members = self.world.world_ranks
+            observed = frozenset(w for w in members if fabric.is_gone(w))
+            dead = frozenset(self.world.agree(observed, combine=lambda a, b: a | b))
+            sims, root = members[: self.m], members[self.m]
+            # The ledger lives on the analysis root; if it died, nothing
+            # before the crash is accounted for, so everything replays.
+            contribution = 0 if root in dead else frame
+            restart = int(self.world.agree(contribution, combine=min))
+            m = sum(w not in dead for w in sims)
+            n = sum(w not in dead for w in members[self.m : self.m + self.n])
+            self.ranks_lost += len(dead)
+            RESILIENCE_STATS.incr("ranks_lost", len(dead))
+            if n < 1 or m < n:
+                raise ReconfigurationError(
+                    "cannot reconfigure the pipeline over the survivors: "
+                    f"{m} simulation and {n} analysis ranks remain"
+                )
+            source = self._restore(restart, sims, dead)
+            self.world = self.world.shrink(dead=dead)
+            self.mover.retarget(self.world)
+            old_root = None if root in dead else self.world.world_ranks.index(root)
+            self._reconfigure(restart, m, n, source, old_root)
+        return restart
+
+    def _restore(self, restart: int, sims: tuple, dead: frozenset) -> list:
+        """The ``(slab, state)`` pairs this rank contributes to a rollback to
+        frame ``restart``: its own slab from its self-checkpoint, and the
+        slabs of dead (or retired) sims it adopts from their buddies."""
+        config = self.config
+        crashed = frozenset(self.world.fabric.dead_ranks())
+        survivors = [w for w in sims if w not in dead]
+        source = []
+        for index, owner in enumerate(sims):
+            if owner in dead:
+                holders = self.policy.holder_world_ranks(index, sims)
+                live = [w for w in holders if w not in dead]
+                owner = live[0] if live else survivors[0]  # the adopter
+            if owner != self.my_world:
+                continue
+            box = slab_box(config.lbm.nx, config.lbm.ny, len(sims), index)
+            got = self.store.fetch(box, restart, crashed)
+            if got is None:
+                raise DataLossError(
+                    f"no live checkpoint holder for simulation slab {box} "
+                    f"at frame {restart}",
+                    lost_boxes=(box,),
+                )
+            state, exact = got
+            if not exact:
+                RESILIENCE_STATS.incr("stale_restores")
+            source.append((box, state))
+        return source
+
+    def _reconfigure(
+        self, frame: int, m: int, n: int, source: list, old_root: Optional[int]
+    ) -> None:
+        """The steps both triggers share, collective over the current world:
+        migrate the LBM state onto the new slab decomposition with one
+        components=9 exchange, hand the ledger off from the old analysis
+        root (empty when it died), then re-assign roles."""
+        config = self.config
+        rank = self.world.rank
+        need = slab_box(config.lbm.nx, config.lbm.ny, m, rank) if rank < m else None
+        with TRACER.span("resilience.state_migration", rank=self.my_world):
+            migration = self.mover.new_mapping(
+                own=[box for box, _ in source], need=need, validate=False
+            )
+            migrated = self.mover.gather_need(
+                [state for _, state in source] or None, mapping=migration
+            )
+            migration.invalidate()  # one mapping generation per reconfiguration
+        ledger = {}
+        if old_root is not None:
+            ledger = self.world.bcast(
+                self.ledger if rank == old_root else None, root=old_root
+            )
+        self._assume_roles(m, n, frame, migrated)
+        self.ledger = ledger if self.role == ROLE_ANALYSIS and self.sub.rank == 0 else {}
+
+    # -- result assembly -----------------------------------------------------
+
+    def _result(self) -> PipelineResult:
+        config = self.config
+        counts = dict(
+            recoveries=self.recoveries, ranks_lost=self.ranks_lost,
+            resizes=self.resizes,
+        )
+        if self.role == ROLE_SIM:
+            return PipelineResult(role="sim", frames=config.n_frames, **counts)
+        if self.role == ROLE_PARKED:
+            return PipelineResult(role="parked", **counts)
+        is_root = self.sub.rank == 0
+        result = PipelineResult(
+            role="analysis_root" if is_root else "analysis",
+            slabs_purged=self.receiver.purged_slabs,
+            **counts,
+        )
+        if not is_root:
+            return result
+        nx, ny = config.lbm.nx, config.lbm.ny
+        for frame in range(config.n_frames):
+            result.frames += 1
+            result.raw_bytes += raw_frame_bytes(nx, ny) * len(config.variables)
+            if config.raw_every_frames is not None and self._is_raw_frame(frame):
+                result.dual_raw_bytes += raw_frame_bytes(nx, ny)
+            for var_index, name in enumerate(config.variables):
+                entry = self.ledger.get((frame, var_index))
+                if entry is None:
+                    continue
+                if entry["status"] == "dropped":
+                    result.frames_dropped += 1
+                    continue
+                if entry["status"] == "stale":
+                    result.frames_stale += 1
+                result.jpeg_bytes += entry["jpeg"]
+                result.jpeg_bytes_by_variable[name] = (
+                    result.jpeg_bytes_by_variable.get(name, 0) + entry["jpeg"]
+                )
+                if var_index == 0 and config.keep_frames:
+                    result.frames_rendered.append(entry["rgb"])
+        return result
 
 
 def _sim_fields(sim: DistributedLbm, names: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -306,164 +721,6 @@ def _sim_fields(sim: DistributedLbm, names: tuple[str, ...]) -> dict[str, np.nda
         else:  # pragma: no cover - validated in PipelineConfig
             raise ValueError(name)
     return out
-
-
-def _run_simulation(
-    world: Communicator,
-    sim_comm: Communicator,
-    topology: StreamTopology,
-    config: PipelineConfig,
-) -> None:
-    sim = DistributedLbm(sim_comm, config.lbm)
-    sender = StreamSender(world, topology, sim_comm.rank)
-    for frame in range(config.n_frames):
-        with TRACER.span("phase.sim_step", frame=frame):
-            sim.step(config.output_every)
-            fields = _sim_fields(sim, config.variables)
-        for var_index, name in enumerate(config.variables):
-            with TRACER.span("phase.stream_send", frame=frame, variable=name):
-                sender.send_frame(frame, fields[name], var_index)
-
-
-def _run_analysis(
-    world: Communicator,
-    analysis_comm: Communicator,
-    topology: StreamTopology,
-    config: PipelineConfig,
-) -> PipelineResult:
-    nx, ny = config.lbm.nx, config.lbm.ny
-    receiver = StreamReceiver(world, topology, analysis_comm.rank)
-
-    # The analysis layout: rectangles "as close to square as possible"
-    # (paper: Figure 5), versus the simulation's full-width slices.
-    grid = grid_shape(config.n, (nx, ny))
-    need = grid_boxes((nx, ny), grid)[analysis_comm.rank]
-
-    red = Redistributor(
-        analysis_comm, ndims=2, dtype=np.float32, backend=config.backend,
-        reliability=config.reliability,
-    )
-    with TRACER.span("phase.ddr_setup", backend=red.backend):
-        red.setup(own=receiver.owned_chunks, need=need)  # once; reused per frame
-
-    root = 0
-    result = PipelineResult(
-        role="analysis_root" if analysis_comm.rank == root else "analysis"
-    )
-    tile_buffer = np.empty(need.np_shape(), dtype=np.float32)
-    # Degraded-mode state: the last good *input* slabs per variable (zeros
-    # until a variable's first complete frame).  A rank whose frame missed
-    # the deadline re-exchanges these, so the collective DDR call stays
-    # joined on every rank and peers still receive data for our region.
-    last_slabs: dict[int, list[np.ndarray]] = {
-        i: [np.zeros(slab.np_shape(), dtype=np.float32) for _, slab in receiver.sources]
-        for i in range(len(config.variables))
-    }
-    deadline_s = config.effective_frame_deadline_s
-
-    origin = (need.offset[1], need.offset[0])  # (row, col) = (y, x)
-    for frame in range(config.n_frames):
-        is_raw_frame = (
-            config.raw_every_frames is None
-            or frame % config.raw_every_frames == 0
-        )
-        for var_index, name in enumerate(config.variables):
-            # Receive under the frame-drop policy.  "fail" keeps the
-            # original blocking semantics (fabric watchdog backstop);
-            # the degraded modes bound the wait and carry on without the
-            # frame's data.  Every rank still joins the redistribution and
-            # gather below, so a local drop never desynchronises peers.
-            status = "ok"
-            with TRACER.span("phase.stream_recv", frame=frame, variable=name):
-                if config.frame_drop == FRAME_DROP_FAIL:
-                    slabs = receiver.recv_frame(frame, var_index)
-                else:
-                    slabs = receiver.try_recv_frame(frame, var_index, deadline_s)
-                    if slabs is None:
-                        status = (
-                            "dropped" if config.frame_drop == FRAME_DROP_SKIP
-                            else "stale"
-                        )
-                        if TRACER.enabled:
-                            with TRACER.span(
-                                "fault.frame_drop", frame=frame, variable=name,
-                                policy=config.frame_drop,
-                            ):
-                                pass
-            if status == "ok":
-                last_slabs[var_index] = slabs
-            else:
-                # Frame loss is local: the exchange is collective over the
-                # analysis ranks, so a rank whose receive timed out still
-                # joins it, re-sending its last good slabs (zeros before
-                # the first complete frame).  Peers keep fresh data where
-                # they have it; only our region goes stale.
-                slabs = last_slabs[var_index]
-            with TRACER.span("phase.redistribute", frame=frame, variable=name):
-                red.exchange(slabs, tile_buffer)  # per-frame, per-var DDR call
-            tile_field = tile_buffer
-
-            tile_rgb: Optional[np.ndarray] = None
-            if status != "dropped":
-                with TRACER.span("phase.render", frame=frame, variable=name):
-                    tile_rgb = _render_variable(tile_field, name, config)
-            # The raw baseline tracks the first (primary) variable only,
-            # matching Table IV's "one variable of interest".
-            want_raw = var_index == 0 and config.save_raw and is_raw_frame
-            raw_tile = tile_field.copy() if want_raw and status != "dropped" else None
-            gathered = analysis_comm.gather(
-                (origin, tile_rgb, raw_tile, status), root=root
-            )
-
-            if analysis_comm.rank != root:
-                continue
-            assert gathered is not None
-            statuses = [s for _, _, _, s in gathered]
-            if var_index == 0:
-                result.frames += 1
-                result.raw_bytes += raw_frame_bytes(nx, ny) * len(config.variables)
-                if config.raw_every_frames is not None and is_raw_frame:
-                    result.dual_raw_bytes += raw_frame_bytes(nx, ny)
-            if "dropped" in statuses:
-                # skip policy: the frame is lost; later frames keep coming.
-                result.frames_dropped += 1
-                continue
-            if "stale" in statuses:
-                result.frames_stale += 1
-            with TRACER.span("phase.encode", frame=frame, variable=name):
-                frame_rgb = assemble_tiles(
-                    [(o, rgb) for o, rgb, _, _ in gathered], (ny, nx)
-                )
-                blob = encode_rgb(frame_rgb, quality=config.quality)
-            result.jpeg_bytes += len(blob)
-            result.jpeg_bytes_by_variable[name] = (
-                result.jpeg_bytes_by_variable.get(name, 0) + len(blob)
-            )
-            if var_index == 0 and config.keep_frames:
-                result.frames_rendered.append(frame_rgb)
-            if config.save_dir is not None:
-                directory = Path(config.save_dir)
-                directory.mkdir(parents=True, exist_ok=True)
-                suffix = "" if len(config.variables) == 1 else f"_{name}"
-                (directory / f"frame_{frame:05d}{suffix}.jpg").write_bytes(blob)
-                if want_raw and all(tf is not None for _, _, tf, _ in gathered):
-                    # Reassemble the full float field for the baseline path.
-                    raw = np.zeros((ny, nx), dtype=np.float32)
-                    for (r0, c0), _, tile_field_, _ in gathered:
-                        th, tw = tile_field_.shape
-                        raw[r0 : r0 + th, c0 : c0 + tw] = tile_field_
-                    write_raw(directory / f"frame_{frame:05d}.raw", raw)
-    if config.frame_drop != FRAME_DROP_FAIL:
-        # End-of-run straggler sweep: frames abandoned near the end of the
-        # run have no later receive call to purge them, so drain here.  The
-        # wait is bounded — a straggler whose send was dropped outright by
-        # the fault layer will never arrive and must not stall shutdown.
-        sweep_deadline = time.monotonic() + min(deadline_s, 1.0)
-        while receiver.abandoned_count() and time.monotonic() < sweep_deadline:
-            if receiver.purge_abandoned() == 0:
-                time.sleep(0.001)
-        result.slabs_purged = receiver.purged_slabs
-    return result
 
 
 def _render_variable(

@@ -81,6 +81,19 @@ class TestDelay:
             assert _ping_ok()
             assert FAULTS.stats.get("delays") >= 1
 
+    def test_tag_scoped_delay_fires_on_the_matching_send_only(self):
+        """Regression: a ``tag`` used to be ignored for delays, so a
+        tag-scoped delay never fired.  It stalls the send carrying that tag;
+        receives are tagless and never match it."""
+        events = (
+            FaultSpec(kind="delay", rank=0, tag=PING_TAG, delay_s=0.01),
+            FaultSpec(kind="delay", rank=0, tag=PING_TAG + 1, delay_s=0.01),
+            FaultSpec(kind="delay", rank=1, tag=PING_TAG, delay_s=0.01),
+        )
+        with fault_plan(FaultPlan(seed=0, nranks=2, events=events)):
+            assert _ping_ok()
+            assert FAULTS.stats.get("delays") == 1
+
 
 class TestDrop:
     def test_dropped_message_times_out_with_typed_error(self):

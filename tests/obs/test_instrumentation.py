@@ -100,10 +100,20 @@ class TestDisabledPath:
         assert len(TRACER) == before
 
 
+#: One driver serves every reconfiguration mode; each must trace alike.
+PIPELINE_MODES = {
+    "fixed": {},
+    "shrink": {"on_rank_loss": "shrink"},
+    "resize": {"on_load": "resize", "resize_schedule": ((1, 4, 2),)},
+}
+
+
 class TestPipelineSpans:
-    def test_phase_spans_cover_the_frame_loop(self):
+    @pytest.mark.parametrize("mode", sorted(PIPELINE_MODES))
+    def test_phase_spans_cover_the_frame_loop(self, mode):
         config = PipelineConfig(
-            lbm=LbmConfig(nx=32, ny=16), m=4, n=2, steps=20, output_every=10
+            lbm=LbmConfig(nx=32, ny=16), m=4, n=2, steps=20, output_every=10,
+            **PIPELINE_MODES[mode],
         )
 
         with tracing() as tracer:
