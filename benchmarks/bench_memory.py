@@ -1,17 +1,17 @@
-"""Memory-budget benchmark: measured staging peak vs budget, bounded overhead.
+"""Memory-budget benchmark: measured staging peak vs budget, lowering overhead.
 
 Runs the slab-to-tile redistribution that motivates the budget machinery
-(row slabs in, grid tiles out — every rank talks to every rank) under three
-budget levels — 100%, 75%, and 50% of the unbounded staging peak — on the
-``bounded`` engine, and records whether the *measured* ledger peak stayed
-within each budget into ``benchmarks/BENCH_memory.json``.  The CI gate
-(``check_regression.py --field peak_within_budget``) fails the build if a
-budget level that used to hold stops holding.
+(row slabs in, grid tiles out) under three budget levels — 100%, 75%, and
+50% of the unbounded staging peak — on the ``p2p`` engine, which lowers
+each round into budget-sized pieces, and records whether the *measured*
+ledger peak stayed within each budget into ``benchmarks/BENCH_memory.json``.
+The CI gate (``check_regression.py --field peak_within_budget``) fails the
+build if a budget level that used to hold stops holding.
 
-Also records the bounded-vs-alltoallw wall-clock overhead (the price of the
-per-piece handshakes when no budget forces them) and a tracemalloc
-cross-check of the analytic estimate, so estimate drift is diffable across
-commits.
+Also records the lowering's wall-clock overhead (``p2p`` at the 50% budget
+against unbudgeted ``alltoallw``: the price of the per-piece handshakes)
+and a tracemalloc cross-check of the analytic estimate, so estimate drift
+is diffable across commits.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ BENCH_RECORD = Path(__file__).resolve().parent / "BENCH_memory.json"
 NPROCS = 4
 NX, NY = 1024, 512  # big enough that lanes dwarf the 64 KiB piece floor
 ITERS = 3
-#: Budget levels as fractions of the unbounded staging peak.  The bounded
-#: engine must hold all three; the strict engines refuse below 1.0.
+#: Budget levels as fractions of the unbounded staging peak.  The lowered
+#: ``p2p`` engine must hold all three; ``alltoallw`` refuses below 1.0.
 LEVELS = (1.0, 0.75, 0.5)
 
 
@@ -90,21 +90,21 @@ def _timed(backend: str) -> tuple[float, list]:
 
 
 def test_peak_within_budget():
-    """The headline gate: the bounded engine's measured ledger peak must
-    stay within every budget level, bitwise-equal to the strict engine."""
+    """The headline gate: the lowered ``p2p`` engine's measured ledger peak
+    must stay within every budget level, bitwise-equal to the collective."""
     peak = unbounded_peak_bytes()
     _, expected = _timed("alltoallw")
     for fraction in LEVELS:
         budget = int(peak * fraction)
         with budget_scope(limit_bytes=budget):
-            seconds, outs = _timed("bounded")
+            seconds, outs = _timed("p2p")
             measured = MEMORY_BUDGET.peak_bytes()
             drained = MEMORY_BUDGET.total_used_bytes()
         within = measured <= budget and drained == 0
         _record(
             f"budget_{int(fraction * 100)}pct",
             {
-                "backend": "bounded",
+                "backend": "p2p",
                 "nprocs": NPROCS,
                 "budget_bytes": budget,
                 "estimated_unbounded_peak_bytes": peak,
@@ -115,26 +115,28 @@ def test_peak_within_budget():
             },
         )
         assert within, (
-            f"bounded peak {measured} exceeded the {budget}-byte budget "
+            f"p2p peak {measured} exceeded the {budget}-byte budget "
             f"({fraction:.0%} of unbounded {peak}), or leaked {drained} bytes"
         )
         for want, have in zip(expected, outs):
             assert np.array_equal(want, have)
 
 
-def test_bounded_overhead():
-    """Unbudgeted bounded-vs-alltoallw wall clock: the handshake price."""
+def test_lowering_overhead():
+    """``p2p`` lowered under the 50% budget vs unbudgeted ``alltoallw``:
+    the wall-clock price of the per-piece handshakes."""
     strict_s, expected = _timed("alltoallw")
-    bounded_s, outs = _timed("bounded")
+    with budget_scope(limit_bytes=int(unbounded_peak_bytes() * 0.5)):
+        lowered_s, outs = _timed("p2p")
     for want, have in zip(expected, outs):
         assert np.array_equal(want, have)
     _record(
-        "bounded_overhead",
+        "lowering_overhead",
         {
             "nprocs": NPROCS,
             "alltoallw_s": strict_s,
-            "bounded_s": bounded_s,
-            "overhead_ratio": bounded_s / strict_s if strict_s else 0.0,
+            "lowered_p2p_s": lowered_s,
+            "overhead_ratio": lowered_s / strict_s if strict_s else 0.0,
             "timestamp": time.time(),
         },
     )

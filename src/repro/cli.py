@@ -84,7 +84,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_engines(args: argparse.Namespace) -> int:
-    from .core import Box, compute_global_plan, global_schedules
+    from .core import ENGINES, Box, compute_global_plan, global_schedules
     from .netmodel import COOLEY, engine_cost
 
     nprocs = args.nprocs
@@ -119,7 +119,7 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         sched = global_schedules(plan)[0]
         print(f"\n{name}: {sched.nrounds} round(s), "
               f"max partners/round {sched.max_partners}")
-        for backend in ("alltoallw", "p2p", "auto", "bounded"):
+        for backend in sorted(ENGINES):
             cost = engine_cost(COOLEY, plan, backend)
             detail = ""
             if backend == "auto":
@@ -384,6 +384,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core.engine import ENGINES
+
+    backends = sorted(ENGINES)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate artifacts of 'Automated Dynamic Data "
@@ -434,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("demo", choices=("intransit", "redistribute"),
                     help="workload to trace")
     pt.add_argument("--out", default="trace.json", help="output JSON path")
-    pt.add_argument("--backend", choices=("alltoallw", "p2p", "auto", "bounded"),
+    pt.add_argument("--backend", choices=backends,
                     default="auto", help="exchange engine (default auto)")
     pt.add_argument("--m", type=int, default=4, help="simulation ranks (intransit)")
     pt.add_argument("--n", type=int, default=2,
@@ -480,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="memory-pressure mode: run every schedule under a "
                     "staging budget shrinking from the workload's measured "
                     "peak, with seeded allocation faults; requires "
-                    "bitwise-correct output (bounded/auto lowering), "
+                    "bitwise-correct output (p2p/auto lowering), "
                     "degraded-by-policy frames, or a typed "
                     "MemoryBudgetError — never an OOM kill or hang")
     pc.add_argument("--edge", action="store_true",
@@ -545,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="LBM steps between frames (default 10)")
     ps.add_argument("--quality", type=int, default=80,
                     help="JPEG quality (default 80)")
-    ps.add_argument("--backend", choices=("alltoallw", "p2p", "auto", "bounded"),
+    ps.add_argument("--backend", choices=backends,
                     default=None, help="exchange engine (default auto)")
     ps.add_argument("--host", default="127.0.0.1")
     ps.add_argument("--port", type=int, default=8737,

@@ -20,13 +20,11 @@ from .engine import (
     ENGINES,
     AlltoallwEngine,
     AutoEngine,
-    BoundedEngine,
     ExchangeEngine,
     ExchangeProgress,
     P2PEngine,
     default_backend,
     get_engine,
-    round_staging_estimate,
 )
 from .mapcache import MappingCache
 from .mapping import (
@@ -36,11 +34,8 @@ from .mapping import (
     setup_data_mapping,
 )
 from .packing import BufferCache, check_buffers, check_buffers_cached
-from .p2p import message_count_p2p, reorganize_data_p2p
 from .plan import GlobalPlan, RankPlan, RecvEntry, SendEntry, compute_global_plan
-from .reorganize import reorganize_data, reorganize_rounds
 from .schedule import (
-    DEFAULT_BOUNDED_CHUNK_BYTES,
     MIN_CHUNK_BYTES,
     PIECE_INFLIGHT,
     ExchangeSchedule,
@@ -63,13 +58,11 @@ from .serialize import (
 from .validate import MappingValidationError, check_send_coverage, infer_domain
 
 __all__ = [
-    "DEFAULT_BOUNDED_CHUNK_BYTES",
     "ENGINES",
     "MIN_CHUNK_BYTES",
     "PIECE_INFLIGHT",
     "AlltoallwEngine",
     "AutoEngine",
-    "BoundedEngine",
     "Box",
     "BufferCache",
     "DATA_TYPE_1D",
@@ -113,16 +106,11 @@ __all__ = [
     "inflate_box",
     "intersect_many",
     "load_plan",
-    "message_count_p2p",
     "plan_from_declarations",
     "plan_from_dict",
     "plan_to_dict",
     "round_max_partners",
     "round_peak_stats",
-    "round_staging_estimate",
     "save_plan",
-    "reorganize_data",
-    "reorganize_data_p2p",
-    "reorganize_rounds",
     "setup_data_mapping",
 ]

@@ -29,11 +29,11 @@ from ..mpisim.comm import (
     Communicator,
 )
 from ..mpisim.datatypes import NamedType
+from ..utils.membudget import MEMORY_BUDGET
 from .box import Box, boxes_from_flat
 from .descriptor import DataDescriptor, DataLayout
-from .engine import ExchangeProgress, default_backend, get_engine
+from .engine import ExchangeProgress, default_backend, get_engine, normalise_own
 from .mapping import LocalMapping, setup_data_mapping
-from .reorganize import reorganize_data
 
 
 def DDR_NewDataDescriptor(
@@ -94,12 +94,25 @@ def DDR_ReorganizeData(
     data_need: Optional[np.ndarray],
     descriptor: DataDescriptor,
 ) -> None:
-    """Exchange the data (paper §III-C): one ``Alltoallw`` per round."""
+    """Exchange the data (paper §III-C): one ``Alltoallw`` per round.
+
+    ``data_own`` is one buffer per owned chunk (a single array is accepted
+    for the common one-chunk case); ``data_need`` is the single buffer for
+    this rank's needed box.  Buffers may be flat or chunk-shaped but must be
+    C-contiguous and exactly sized.  Because the setup step prebuilt every
+    subarray datatype, this is safe to call repeatedly on new data with the
+    same layout — the paper's "dynamic data" property.
+    """
     if nprocs != comm.size:
         raise ValueError(
             f"nprocs argument {nprocs} does not match communicator size {comm.size}"
         )
-    reorganize_data(comm, descriptor, data_own, data_need)
+    mapping = descriptor.plan
+    if not isinstance(mapping, LocalMapping):
+        raise RuntimeError(
+            "DDR_SetupDataMapping must be called before DDR_ReorganizeData"
+        )
+    get_engine("alltoallw").execute(comm, mapping, data_own, data_need)
 
 
 class Redistributor:
@@ -116,8 +129,9 @@ class Redistributor:
     (see :class:`~repro.core.packing.BufferCache`).
 
     ``backend`` picks the execution engine: ``"alltoallw"`` (dense
-    collective), ``"p2p"`` (direct sends), or ``"auto"`` (per-round
-    selection driven by the plan's sparsity).  ``None`` follows the
+    collective), ``"p2p"`` (direct sends, lowered into budget-sized pieces
+    under a memory budget), or ``"auto"`` (per-round selection between the
+    two, driven by the plan's sparsity and the budget).  ``None`` follows the
     process default — the ``DDR_BACKEND`` environment variable when set,
     otherwise ``"alltoallw"``.
 
@@ -242,8 +256,12 @@ class Redistributor:
         )
 
     def engine_choices(self, mapping: Optional[LocalMapping] = None) -> list[str]:
-        """Per-round engine the ``auto`` backend would pick for a mapping."""
-        return (self.mapping if mapping is None else mapping).schedule.engine_choices()
+        """Per-round engine the ``auto`` backend picks for a mapping on this
+        instance's resolved transport under the installed memory budget."""
+        zero_copy = self.comm.resolve_transport(self.transport) != TRANSPORT_PACKED
+        return (self.mapping if mapping is None else mapping).schedule.engine_choices(
+            zero_copy, MEMORY_BUDGET.limit_bytes
+        )
 
     def gather_need(
         self,
@@ -353,12 +371,7 @@ class Redistributor:
         m = self.comm.size
         rank = self.comm.rank
         own_boxes = list(self.mapping.own_chunks)
-        if own_buffers is None:
-            bufs: list[np.ndarray] = []
-        elif isinstance(own_buffers, np.ndarray):
-            bufs = [own_buffers]
-        else:
-            bufs = list(own_buffers)
+        bufs = normalise_own(own_buffers)
         if len(bufs) != len(own_boxes):
             raise ValueError(
                 f"resize needs one buffer per active own chunk: got "

@@ -33,6 +33,10 @@ from .box import Box
 from .packing import subarray_for
 from .plan import GlobalPlan, RankPlan
 
+#: One lowered step of a direct round: ``(recvs, sends)``, each a list of
+#: ``(peer, datatype)`` pieces posted together and waited together.
+Step = tuple[list[tuple[int, SubarrayType]], list[tuple[int, SubarrayType]]]
+
 #: A round whose busiest rank talks to at least this fraction of the other
 #: ranks is considered dense: the O(P) collective amortises better than
 #: per-message handshakes.  Below it, direct sends win (paper §V).
@@ -43,23 +47,19 @@ AUTO_DENSITY_THRESHOLD = 0.5
 #: payload; ``zerocopy`` stages nothing and peaks at the self-copy temp.
 STAGED_TRANSPORTS = ("packed", "shm")
 
-#: Pieces resident at once per lowered sub-step of the bounded engine: the
-#: eagerly staged outgoing piece, the in-flight incoming piece, and the
-#: pack/unpack temporaries on either side of them.
+#: Pieces resident at once per peer of a lowered step: the eagerly staged
+#: outgoing piece, the in-flight incoming piece, and the pack/unpack
+#: temporaries on either side of them.
 PIECE_INFLIGHT = 4
 
-#: Lower bound on the bounded engine's piece size.  Below this, per-message
-#: latency dominates any memory saved, and the piece count per lane stays
-#: sane even under absurd budgets.
+#: Lower bound on the lowered piece size.  Below this, per-message latency
+#: dominates any memory saved, and the piece count per lane stays sane
+#: even under absurd budgets.
 MIN_CHUNK_BYTES = 64 * 1024
-
-#: Piece size the bounded engine lowers with when no budget is installed
-#: (running it explicitly is then a pure lane-chunking ablation).
-DEFAULT_BOUNDED_CHUNK_BYTES = 4 * 1024 * 1024
 
 
 def chunk_bytes_for(limit_bytes: int) -> int:
-    """Piece size the bounded engine lowers with under ``limit_bytes``.
+    """Piece size a budgeted ``p2p`` round lowers with under ``limit_bytes``.
 
     Targets a lowered peak near half the limit (``PIECE_INFLIGHT`` resident
     pieces, times two for slack against estimate error), floored at
@@ -83,6 +83,48 @@ def collective_preferred(
     return max_partners >= threshold * (nprocs - 1)
 
 
+def auto_backend(
+    rnd: "RoundSchedule", zero_copy: bool = False, limit_bytes: Optional[int] = None
+) -> str:
+    """The ``auto`` engine's per-round decision: ``alltoallw`` or ``p2p``.
+
+    Dense rounds take the collective when their staging estimate fits the
+    budget; everything else takes the direct engine, which lowers into
+    budget-sized pieces when it must.  Every input is a global plan
+    statistic or the static limit, so all ranks agree with no negotiation.
+    """
+    if collective_preferred(rnd.max_partners, rnd.nprocs) and (
+        limit_bytes is None or rnd.staging_estimate(zero_copy) <= limit_bytes
+    ):
+        return "alltoallw"
+    return "p2p"
+
+
+def _piece_regions(region: Box, nbytes: int, piece_bytes: int) -> list[Box]:
+    """Split ``region`` into row-slices of at most ``piece_bytes`` along the
+    slowest-varying axis (paper order: ``dims[-1]``).
+
+    A pure function of ``(region, piece_bytes)`` — the sender and the
+    receiver of a lane hold the same overlap box and the same static budget
+    limit, so both derive the identical piece sequence without
+    communicating.  A single row larger than ``piece_bytes`` stays one
+    piece (the floor of what row-slicing can do).
+    """
+    rows = region.dims[-1]
+    if rows <= 1 or nbytes <= piece_bytes:
+        return [region]
+    rows_per = max(1, piece_bytes // max(1, nbytes // rows))
+    axis = region.ndim - 1
+    pieces: list[Box] = []
+    for start in range(0, rows, rows_per):
+        offset = list(region.offset)
+        offset[axis] += start
+        dims = list(region.dims)
+        dims[axis] = min(rows_per, rows - start)
+        pieces.append(Box(tuple(offset), tuple(dims)))
+    return pieces
+
+
 @dataclass(frozen=True)
 class Lane:
     """One point-to-point transfer of one round.
@@ -90,8 +132,8 @@ class Lane:
     ``datatype`` selects the moved cells out of the owning buffer (send
     lanes: the chunk buffer; recv lanes: the need buffer).  It is ``None``
     for schedules built purely for cost modeling.  ``container``/``region``
-    keep the geometry the datatype was built from, so the bounded engine
-    can re-slice the lane into budget-sized pieces without replanning.
+    keep the geometry the datatype was built from, so a budgeted round can
+    re-slice the lane into budget-sized pieces without replanning.
     """
 
     peer: int
@@ -125,7 +167,7 @@ class RoundSchedule:
     #: is identical on every rank, so budget-driven lowering decisions need
     #: no communication.
     max_round_bytes: int = 0
-    #: Geometry context for peak estimates and bounded lowering.
+    #: Geometry context for peak estimates and lowering.
     element_size: int = 1
     components: int = 1
     mpi_type: Optional[NamedType] = field(default=None, repr=False)
@@ -137,10 +179,12 @@ class RoundSchedule:
     _recvtypes: Optional[list[Optional[SubarrayType]]] = field(
         default=None, init=False, repr=False
     )
-    # Piece datatypes the bounded engine slices lanes into, keyed by
-    # (container, region, chunk_bytes); cached for the same reason as the
-    # dense tables — repeated exchanges must not rebuild subarray types.
+    # Piece datatypes lanes are sliced into, keyed by (container, region,
+    # piece_bytes), and the direct engine's lowered steps, keyed by
+    # (piece_bytes, peer_window); cached for the same reason as the dense
+    # tables — repeated exchanges must not rebuild subarray types.
     _piece_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _step_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- sparsity statistics -------------------------------------------------
 
@@ -201,18 +245,27 @@ class RoundSchedule:
             return self.self_bytes
         return self.bytes_out + self.bytes_in + self.self_bytes
 
-    def lowered_peak_bytes(
-        self, chunk_bytes: int, transport: str = "packed"
-    ) -> int:
-        """Estimated staging peak when the bounded engine runs this round
-        in pieces of at most ``chunk_bytes``.
+    def staging_estimate(self, zero_copy: bool) -> int:
+        """The round's budget-relevant peak: the *global* worst-rank
+        statistic when the schedule carries one (so every rank reaches the
+        same verdict), else this rank's own estimate (cost-model schedules
+        only)."""
+        if zero_copy:
+            return self.self_bytes
+        return self.max_round_bytes or self.peak_bytes()
 
-        At any lowered sub-step only :data:`PIECE_INFLIGHT` pieces are
-        resident, so the peak is capped near ``PIECE_INFLIGHT * piece``
-        where ``piece`` cannot exceed the largest lane.  Monotone
-        non-decreasing in ``chunk_bytes`` and never above the unlowered
-        :meth:`peak_bytes` — shrinking the budget's derived chunk can only
-        shrink the footprint.
+    def lowered_peak_bytes(
+        self, chunk_bytes: int, transport: str = "packed", peer_window: int = 1
+    ) -> int:
+        """Estimated staging peak when this round runs in pieces of at most
+        ``chunk_bytes``, ``peer_window`` peers per step.
+
+        At any lowered step only :data:`PIECE_INFLIGHT` pieces per peer are
+        resident, so the peak is capped near ``peer_window *
+        PIECE_INFLIGHT * piece`` where ``piece`` cannot exceed the largest
+        lane.  Monotone non-decreasing in ``chunk_bytes`` and never above
+        the unlowered :meth:`peak_bytes` — shrinking the budget's derived
+        chunk can only shrink the footprint.
         """
         full = self.peak_bytes(transport)
         if chunk_bytes <= 0:
@@ -220,7 +273,93 @@ class RoundSchedule:
         largest = self.largest_lane_bytes
         if largest == 0:
             return 0
-        return min(full, PIECE_INFLIGHT * min(int(chunk_bytes), largest))
+        return min(
+            full, peer_window * PIECE_INFLIGHT * min(int(chunk_bytes), largest)
+        )
+
+    # -- direct-engine lowering ----------------------------------------------
+
+    def lane_pieces(
+        self, lane: Optional[Lane], piece_bytes: Optional[int]
+    ) -> list[SubarrayType]:
+        """Per-piece datatypes for ``lane``: none for an empty lane, the
+        lane's own datatype when ``piece_bytes`` is ``None`` or the lane
+        already fits (or lacks the geometry to re-slice), else one cached
+        subarray type per row-slice of at most ``piece_bytes``."""
+        if lane is None or lane.datatype is None or lane.datatype.size_elements() == 0:
+            return []
+        if (
+            piece_bytes is None
+            or lane.region is None
+            or lane.container is None
+            or self.mpi_type is None
+            or lane.nbytes <= piece_bytes
+        ):
+            return [lane.datatype]
+        key = (lane.container, lane.region, piece_bytes)
+        cached = self._piece_cache.get(key)
+        if cached is None:
+            cached = self._piece_cache[key] = [
+                subarray_for(lane.container, piece, self.mpi_type, self.components)
+                for piece in _piece_regions(lane.region, lane.nbytes, piece_bytes)
+            ]
+        return cached
+
+    def lower(
+        self, rank: int, piece_bytes: Optional[int], peer_window: Optional[int]
+    ) -> list[Step]:
+        """This rank's remote lanes as a list of steps, cached per
+        ``(piece_bytes, peer_window)``.
+
+        With ``peer_window`` set, peers are taken in offset-ring order
+        (send to ``rank + offset``, receive from ``rank - offset``),
+        ``peer_window`` offsets at a time; ``None`` puts every lane, in
+        peer order, in one window.  Each lane is cut into pieces of at most
+        ``piece_bytes`` (``None``: one piece), and step ``k`` of a window
+        moves piece ``k`` of every lane in it.  Without a budget that is a
+        single step holding every lane.
+
+        Both ends of a lane derive the same piece count from the same
+        overlap box, and every rank walks windows in the same order, so a
+        lane's send and receive fall in the same global step.  With eager
+        sends that makes the executor deadlock-free by induction on the
+        step order.  Pieces of one lane share the round tag; the mailbox
+        is FIFO per (source, tag), so they match in order.
+        """
+        key = (piece_bytes, peer_window)
+        steps = self._step_cache.get(key)
+        if steps is not None:
+            return steps
+        if peer_window is None:
+            windows = [(self.recvs, self.sends)]
+        else:
+            recvs = {lane.peer: lane for lane in self.recvs}
+            sends = {lane.peer: lane for lane in self.sends}
+            windows = []
+            for start in range(1, self.nprocs, peer_window):
+                group = range(start, min(start + peer_window, self.nprocs))
+                srcs = ((rank - o) % self.nprocs for o in group)
+                dests = ((rank + o) % self.nprocs for o in group)
+                windows.append((
+                    [recvs[src] for src in srcs if src in recvs],
+                    [sends[dest] for dest in dests if dest in sends],
+                ))
+        steps = []
+        for recv_lanes, send_lanes in windows:
+            recv_pieces = [
+                (lane.peer, self.lane_pieces(lane, piece_bytes)) for lane in recv_lanes
+            ]
+            send_pieces = [
+                (lane.peer, self.lane_pieces(lane, piece_bytes)) for lane in send_lanes
+            ]
+            depth = max((len(p) for _, p in recv_pieces + send_pieces), default=0)
+            for k in range(depth):
+                steps.append((
+                    [(peer, p[k]) for peer, p in recv_pieces if k < len(p)],
+                    [(peer, p[k]) for peer, p in send_pieces if k < len(p)],
+                ))
+        self._step_cache[key] = steps
+        return steps
 
     # -- dense tables for the collective engine ------------------------------
 
@@ -280,15 +419,11 @@ class ExchangeSchedule:
         return max((r.peak_bytes(transport) for r in self.rounds), default=0)
 
     def engine_choices(
-        self, threshold: float = AUTO_DENSITY_THRESHOLD
+        self, zero_copy: bool = False, limit_bytes: Optional[int] = None
     ) -> list[str]:
-        """Per-round engine the auto rule selects (``alltoallw`` / ``p2p``)."""
-        return [
-            "alltoallw"
-            if collective_preferred(r.max_partners, self.nprocs, threshold)
-            else "p2p"
-            for r in self.rounds
-        ]
+        """Per-round engine :func:`auto_backend` selects (``alltoallw`` /
+        ``p2p``) on a transport and under an optional budget limit."""
+        return [auto_backend(r, zero_copy, limit_bytes) for r in self.rounds]
 
 
 def build_schedule(

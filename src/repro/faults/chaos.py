@@ -50,20 +50,17 @@ __all__ = ["ChaosReport", "ChaosRun", "run_chaos"]
 BACKENDS = ("alltoallw", "p2p", "auto")
 TRANSPORTS = (TRANSPORT_PACKED, TRANSPORT_ZEROCOPY)
 
-#: Memory-chaos backends: the strict engines (which must surface a typed
-#: ``MemoryBudgetError`` when a round cannot fit) plus the two that keep
-#: going under pressure (``bounded`` lowers rounds, ``auto`` picks per
-#: round on the time/peak Pareto frontier).
-MEMORY_BACKENDS = ("alltoallw", "p2p", "auto", "bounded")
+#: Memory-chaos runs cycle :data:`BACKENDS` on the thread executor and the
+#: staged transport only: the budget ledger lives in this process, and only
+#: staged payloads consume budgeted staging memory (zero-copy rounds stage
+#: nothing).  ``alltoallw`` must surface a typed ``MemoryBudgetError`` when
+#: a round cannot fit; ``p2p`` lowers rounds into budget-sized pieces and
+#: ``auto`` picks between the two per round.
+MEMORY_COMBO = ("thread", TRANSPORT_PACKED)
 
-#: Memory-chaos combos: thread executor + staged transport only.  The
-#: budget ledger lives in this process, and only staged payloads consume
-#: budgeted staging memory (zero-copy rounds stage nothing).
-MEMORY_COMBOS = (("thread", TRANSPORT_PACKED),)
-
-#: Memory-chaos field: big enough that lanes exceed the bounded engine's
-#: 64 KiB minimum piece size, so tight budgets actually force sub-round
-#: lowering rather than only ledger checks.
+#: Memory-chaos field: big enough that lanes exceed the lowering's 64 KiB
+#: minimum piece size, so tight budgets actually force sub-round lowering
+#: rather than only ledger checks.
 MEMORY_NX, MEMORY_NY = 256, 128
 
 #: Budgets sweep from the full measured unbounded peak down to this
@@ -606,11 +603,11 @@ def run_chaos(
     :class:`~repro.utils.membudget.MemoryBudget` that shrinks from each
     workload's measured unbounded peak (a fault-free probe run) down to
     :data:`MEMORY_MIN_FRACTION` of it across the sweep, the plans draw
-    self-healing families plus seeded ``alloc`` faults, and the backend
-    cycle adds ``bounded``.  Acceptable endings are bitwise-correct output
-    (the bounded/auto engines lowered their rounds under the budget),
-    degraded-by-policy frames, or a typed ``MemoryBudgetError`` from a
-    strict engine — never an OOM kill or a hang.
+    self-healing families plus seeded ``alloc`` faults, and every run uses
+    the staged transport.  Acceptable endings are bitwise-correct output
+    (the p2p/auto engines lowered their rounds under the budget),
+    degraded-by-policy frames, or a typed ``MemoryBudgetError`` — never an
+    OOM kill or a hang.
     """
     if nprocs < 2:
         raise ValueError(f"chaos needs nprocs >= 2, got {nprocs}")
@@ -623,10 +620,7 @@ def run_chaos(
         backend = BACKENDS[index % len(BACKENDS)]
         executor, transport = COMBOS[(index // len(BACKENDS)) % len(COMBOS)]
         if memory:
-            backend = MEMORY_BACKENDS[index % len(MEMORY_BACKENDS)]
-            executor, transport = MEMORY_COMBOS[
-                (index // len(MEMORY_BACKENDS)) % len(MEMORY_COMBOS)
-            ]
+            executor, transport = MEMORY_COMBO
         if resizes:
             executor, transport = RESIZE_COMBOS[
                 (index // len(BACKENDS)) % len(RESIZE_COMBOS)

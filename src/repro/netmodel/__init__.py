@@ -1,13 +1,11 @@
 """Cluster performance model (calibrated to the paper's Cooley results)."""
 
 from .analytic import (
-    BOUNDED_PER_PIECE_S,
     P2P_PER_MESSAGE_S,
     EngineCost,
     ExchangeCost,
     engine_cost,
     exchange_cost,
-    pareto_round_backend,
     point_to_point_cost,
     round_payloads,
 )
@@ -43,7 +41,6 @@ from .predict import (
 )
 
 __all__ = [
-    "BOUNDED_PER_PIECE_S",
     "COOLEY",
     "ClusterSpec",
     "EngineCost",
@@ -68,7 +65,6 @@ __all__ = [
     "maxmin_rates",
     "needed_boxes",
     "paper_grid",
-    "pareto_round_backend",
     "point_to_point_cost",
     "predict_ddr",
     "predict_no_ddr",

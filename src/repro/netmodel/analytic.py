@@ -16,15 +16,11 @@ Per-engine costs (:func:`engine_cost`) share one per-round vocabulary:
 
 ``alltoallw`` prices every round as collective, ``p2p`` every round as
 direct, and ``auto`` applies the same per-round selection rule the
-``AutoEngine`` executes (:func:`repro.core.schedule.collective_preferred`),
-so predicted and executed engine choices agree by construction.
-
-With a memory budget (``limit_bytes``) the vocabulary gains a third round
-shape: a *bounded* round pays a handshake per budget-sized piece plus
-serialisation at piece-size bandwidth, in exchange for a staging peak
-capped by the piece count in flight.  :func:`pareto_round_backend` is the
-(time, peak-memory) Pareto rule ``AutoEngine`` executes under a budget —
-again shared, so predicted and executed choices agree by construction.
+``AutoEngine`` executes without a budget
+(:func:`repro.core.schedule.collective_preferred`), so predicted and
+executed engine choices agree by construction.  The model prices
+unbudgeted exchanges only; a memory budget changes how ``p2p`` lowers a
+round, not which data moves.
 """
 
 from __future__ import annotations
@@ -33,22 +29,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..core.plan import GlobalPlan
-from ..core.schedule import (
-    DEFAULT_BOUNDED_CHUNK_BYTES,
-    PIECE_INFLIGHT,
-    ExchangeSchedule,
-    chunk_bytes_for,
-    collective_preferred,
-    global_schedules,
-)
+from ..core.schedule import ExchangeSchedule, collective_preferred, global_schedules
 from .cluster import ClusterSpec
 
 #: Modeled cost of one rendezvous handshake on the direct-send path.
 P2P_PER_MESSAGE_S = 5e-6
-
-#: Modeled per-piece overhead on the bounded path: the receive post plus
-#: the eagerly staged send of each lowered piece.
-BOUNDED_PER_PIECE_S = 2 * P2P_PER_MESSAGE_S
 
 
 @dataclass(frozen=True)
@@ -105,82 +90,23 @@ def _self_copy_s(cluster: ClusterSpec, schedules: Sequence[ExchangeSchedule]) ->
     return self_bytes / cluster.memcpy_bw
 
 
-def pareto_round_backend(
-    cluster: ClusterSpec,
-    *,
-    nprocs: int,
-    max_partners: int,
-    max_round_bytes: int,
-    limit_bytes: Optional[int],
-    chunk_bytes: Optional[int] = None,
-) -> str:
-    """The budget-aware per-round selection rule (executed by ``AutoEngine``).
-
-    Every input is either a global plan statistic (identical on all ranks
-    by construction) or the static budget limit, so every rank returns the
-    same backend with no negotiation.  Candidates are priced on both axes:
-
-    - ``alltoallw`` / ``p2p``: the time model's collective/direct round
-      shapes, both peaking at ``max_round_bytes`` of staging;
-    - ``bounded``: per-piece handshakes and piece-size bandwidth, peaking
-      at ``PIECE_INFLIGHT`` resident pieces.
-
-    Among candidates whose peak fits ``limit_bytes``, the modeled-fastest
-    wins; when none fit, the minimum-peak one does (best effort — the
-    ledger still enforces the hard line with a typed error).
-    """
-    dense = collective_preferred(max_partners, nprocs)
-    strict = "alltoallw" if dense else "p2p"
-    if limit_bytes is None or max_round_bytes <= 0:
-        return strict
-    if chunk_bytes is None:
-        chunk_bytes = chunk_bytes_for(limit_bytes)
-    # The staged peak counts the busiest rank's payload twice (sends staged
-    # + receives in flight); halve it back to an outbound volume for time.
-    payload = max(1, max_round_bytes // 2)
-    xfer = payload / cluster.effective_bw(payload)
-    pieces = -(-payload // chunk_bytes)
-    bounded_t = pieces * BOUNDED_PER_PIECE_S + payload / cluster.effective_bw(
-        min(payload, chunk_bytes)
-    )
-    candidates = (
-        (cluster.alpha(nprocs) + xfer, max_round_bytes, "alltoallw"),
-        (max_partners * P2P_PER_MESSAGE_S + xfer, max_round_bytes, "p2p"),
-        (bounded_t, min(max_round_bytes, PIECE_INFLIGHT * chunk_bytes), "bounded"),
-    )
-    fits = [c for c in candidates if c[1] <= limit_bytes]
-    if fits:
-        return min(fits, key=lambda c: c[0])[2]
-    return min(candidates, key=lambda c: (c[1], c[0]))[2]
-
-
 def engine_cost(
     cluster: ClusterSpec,
     plan: GlobalPlan,
     backend: str = "alltoallw",
     schedules: Optional[Sequence[ExchangeSchedule]] = None,
-    limit_bytes: Optional[int] = None,
 ) -> EngineCost:
     """Model one full redistribution under ``backend`` on ``cluster``.
 
-    ``backend`` is ``"alltoallw"``, ``"p2p"``, ``"auto"``, or ``"bounded"``
-    — the same names :func:`repro.core.engine.get_engine` accepts.  With
-    ``limit_bytes`` set, ``auto`` rounds are selected by
-    :func:`pareto_round_backend` (time alone otherwise) and bounded rounds
-    are priced with the limit's derived piece size.
+    ``backend`` is ``"alltoallw"``, ``"p2p"``, or ``"auto"`` — the same
+    names :func:`repro.core.engine.get_engine` accepts.
     """
-    if backend not in ("alltoallw", "p2p", "auto", "bounded"):
+    if backend not in ("alltoallw", "p2p", "auto"):
         raise ValueError(
-            f"unknown backend {backend!r}; choose 'alltoallw', 'p2p', "
-            "'auto', or 'bounded'"
+            f"unknown backend {backend!r}; choose 'alltoallw', 'p2p', or 'auto'"
         )
     if schedules is None:
         schedules = global_schedules(plan)
-    chunk_bytes = (
-        chunk_bytes_for(limit_bytes)
-        if limit_bytes is not None
-        else DEFAULT_BOUNDED_CHUNK_BYTES
-    )
 
     alpha_s = 0.0
     message_s = 0.0
@@ -188,55 +114,20 @@ def engine_cost(
     round_engines: list[str] = []
     for round_index in range(plan.nrounds):
         rounds = [s.rounds[round_index] for s in schedules]
-        if backend in ("alltoallw", "p2p", "bounded"):
-            mode = backend
-        else:
+        mode = backend
+        if backend == "auto":
             max_partners = max((r.max_partners for r in rounds), default=0)
-            if limit_bytes is None:
-                mode = (
-                    "alltoallw"
-                    if collective_preferred(max_partners, plan.nprocs)
-                    else "p2p"
-                )
-            else:
-                peak = max(
-                    (r.max_round_bytes or r.peak_bytes() for r in rounds), default=0
-                )
-                mode = pareto_round_backend(
-                    cluster,
-                    nprocs=plan.nprocs,
-                    max_partners=max_partners,
-                    max_round_bytes=peak,
-                    limit_bytes=limit_bytes,
-                    chunk_bytes=chunk_bytes,
-                )
+            mode = (
+                "alltoallw"
+                if collective_preferred(max_partners, plan.nprocs)
+                else "p2p"
+            )
         round_engines.append(mode)
 
         if mode == "alltoallw":
             alpha_s += cluster.alpha(plan.nprocs)
             payload = max((r.bytes_out for r in rounds), default=0)
             transfer_s += payload / cluster.effective_bw(payload)
-        elif mode == "bounded":
-            # The busiest rank again sets the round time, paying a
-            # handshake per lowered piece and serialising at the (smaller)
-            # piece size's effective bandwidth.
-            worst_t = 0.0
-            worst_msg = 0.0
-            worst_xfer = 0.0
-            for r in rounds:
-                pieces = sum(
-                    -(-lane.nbytes // chunk_bytes) for lane in r.sends
-                )
-                msg = pieces * BOUNDED_PER_PIECE_S
-                xfer = r.bytes_out / cluster.effective_bw(
-                    min(r.bytes_out, chunk_bytes) or 1
-                )
-                if msg + xfer > worst_t:
-                    worst_t = msg + xfer
-                    worst_msg = msg
-                    worst_xfer = xfer
-            message_s += worst_msg
-            transfer_s += worst_xfer
         else:
             # The busiest rank sets the round time; attribute its handshake
             # and serialisation shares separately so the sum stays exact.

@@ -13,7 +13,7 @@ from repro import (
     DDR_SetupDataMapping,
     Redistributor,
 )
-from repro.core import reorganize_rounds
+from repro.core import get_engine
 from repro.mpisim import FLOAT
 from tests.conftest import spmd
 
@@ -35,14 +35,12 @@ def run_e1(backend: str = "alltoallw"):
         data_own = [g[rank].copy(), g[rank + 4].copy()]
         data_need = np.zeros((4, 4), dtype=np.float32)
         if backend == "p2p":
-            from repro.core import reorganize_data_p2p
-
-            reorganize_data_p2p(comm, desc, data_own, data_need)
+            get_engine("p2p").execute(comm, desc.plan, data_own, data_need)
         else:
             DDR_ReorganizeData(comm, 4, data_own, data_need, desc)
         expect = g[4 * bottom : 4 * bottom + 4, 4 * right : 4 * right + 4]
         assert np.array_equal(data_need, expect), (rank, data_need, expect)
-        return reorganize_rounds(desc)
+        return desc.plan.nrounds
 
     return spmd(4, fn)
 

@@ -19,13 +19,14 @@ from repro.core import (
     default_backend,
     get_engine,
 )
-from repro.core.engine import ENGINES, AutoEngine
+from repro.core.engine import ENGINES
+from repro.utils.membudget import budget_scope
 from tests.conftest import spmd
 
 
 class TestEngineRegistry:
     def test_known_engines(self):
-        assert set(ENGINES) == {"alltoallw", "p2p", "auto", "bounded"}
+        assert set(ENGINES) == {"alltoallw", "p2p", "auto"}
         for name in ENGINES:
             assert get_engine(name).name == name
 
@@ -118,13 +119,23 @@ class TestAutoEngine:
         assert all(spmd(nprocs, fn))
 
     def test_choices_helper_matches_schedule(self):
-        def fn(comm):
-            red = Redistributor(comm, ndims=1, dtype=np.float32, backend="auto")
+        # engine_choices() asks the decision auto executes, with this
+        # instance's resolved transport and the installed budget: a dense
+        # round over budget goes direct on the staged transport only.
+        def fn(comm, mode):
+            red = Redistributor(
+                comm, ndims=1, dtype=np.float32, backend="auto", transport=mode
+            )
             own, need = dense_layout(comm.size, comm.rank)
             red.setup(own=own, need=need)
-            return AutoEngine.choices(red.mapping) == red.engine_choices()
+            out = red.gather_need([np.full(1, float(comm.rank), dtype=np.float32)])
+            assert np.array_equal(out, np.arange(comm.size, dtype=np.float32))
+            return red.engine_choices()
 
-        assert all(spmd(4, fn))
+        assert spmd(4, fn, "packed") == [["alltoallw"]] * 4
+        with budget_scope(limit_bytes=16):
+            assert spmd(4, fn, "packed") == [["p2p"]] * 4
+            assert spmd(4, fn, "zerocopy") == [["alltoallw"]] * 4
 
 
 class TestMappingLifecycle:

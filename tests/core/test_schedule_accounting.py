@@ -2,7 +2,7 @@
 
 The memory-budget machinery trusts three properties of the schedule
 statistics: bytes are conserved globally (every staged send is somebody's
-staged receive), the bounded engine's lowered peak estimate shrinks — never
+staged receive), a lowered round's peak estimate shrinks — never
 grows — as the budget-derived chunk shrinks, and the auto rule's per-round
 engine choices are a pure function of the plan (identical across ranks and
 across rebuilds, so no negotiation is ever needed).

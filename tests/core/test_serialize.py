@@ -7,13 +7,13 @@ import pytest
 
 from repro.core import (
     Box,
+    DDR_ReorganizeData,
     DataDescriptor,
     attach_loaded_plan,
     compute_global_plan,
     load_plan,
     plan_from_dict,
     plan_to_dict,
-    reorganize_data,
     save_plan,
 )
 from tests.conftest import spmd
@@ -80,7 +80,9 @@ class TestAttachLoadedPlan:
             attach_loaded_plan(desc, plan, comm.rank)
             g = np.arange(64, dtype=np.float32).reshape(8, 8)
             need = np.zeros((4, 4), dtype=np.float32)
-            reorganize_data(comm, desc, [g[comm.rank].copy(), g[comm.rank + 4].copy()], need)
+            DDR_ReorganizeData(
+                comm, 4, [g[comm.rank].copy(), g[comm.rank + 4].copy()], need, desc
+            )
             r = comm.rank
             expect = g[4 * (r // 2) : 4 * (r // 2) + 4, 4 * (r % 2) : 4 * (r % 2) + 4]
             assert np.array_equal(need, expect)

@@ -13,9 +13,12 @@ import pytest
 from repro.core import Box, Redistributor
 from repro.intransit import PipelineConfig, run_pipeline
 from repro.lbm import LbmConfig
+from repro.lbm.decompose import slab_box
 from repro.mpisim import TRANSPORT_PACKED, TRANSPORT_ZEROCOPY, transport
 from repro.obs import tracing
-from tests.conftest import spmd
+from repro.utils.membudget import budget_scope
+from repro.volren.decompose import grid_boxes, grid_shape
+from tests.conftest import spmd, thread_only
 
 NPROCS = 4
 
@@ -88,6 +91,42 @@ class TestEngineSpans:
             collectives = spans_named(mpi, "mpi.Alltoallw")
             assert len(collectives) == NPROCS
             assert all(r.attrs["transport"] == mode for r in collectives)
+
+
+@thread_only
+@pytest.mark.parametrize("mode", [TRANSPORT_ZEROCOPY, TRANSPORT_PACKED])
+def test_budgeted_auto_traces_the_protocol_it_ran(mode):
+    """A 1024x512 slab-to-tile remap under a half-peak budget: every
+    ``ddr.round`` span names the engine that ran, which is what
+    ``engine_choices()`` reports, and ``ddr.lowering`` appears only where a
+    round really ran in several steps (the staged transport)."""
+    nx, ny = 1024, 512
+
+    def fn(comm):
+        red = Redistributor(comm, ndims=2, dtype=np.float32, backend="auto")
+        red.setup(
+            own=[slab_box(nx, ny, comm.size, comm.rank)],
+            need=grid_boxes((nx, ny), grid_shape(comm.size, (nx, ny)))[comm.rank],
+        )
+        own = np.ones(red.mapping.own_chunks[0].np_shape(), dtype=np.float32)
+        assert (red.gather_need([own]) == 1).all()
+        return red.engine_choices()
+
+    with tracing() as tracer, transport(mode), budget_scope(limit_bytes=393216):
+        choices = spmd(NPROCS, fn)
+    records = tracer.records()
+    assert choices == [["p2p"]] * NPROCS
+    rounds = spans_named(records, "ddr.round")
+    assert len(rounds) == NPROCS
+    for span in rounds:
+        assert span.attrs["backend"] == choices[span.rank][span.attrs["round"]]
+    assert not spans_named(records, "mpi.Alltoallw")
+    lowerings = spans_named(records, "ddr.lowering")
+    if mode == TRANSPORT_PACKED:
+        assert sorted(s.rank for s in lowerings) == list(range(NPROCS))
+        assert all(s.attrs["steps"] > 1 for s in lowerings)
+    else:
+        assert not lowerings
 
 
 class TestDisabledPath:

@@ -13,13 +13,13 @@ import numpy as np
 
 from repro.core import (
     Box,
+    DDR_ReorganizeData,
     DataDescriptor,
     attach_loaded_plan,
     compute_global_plan,
     load_plan,
     plan_from_dict,
     plan_to_dict,
-    reorganize_data,
     save_plan,
 )
 from repro.mpisim import RankCrashError, run_spmd
@@ -49,8 +49,8 @@ def test_roundtripped_plan_runs_on_shrunken_comm(tmp_path):
         attach_loaded_plan(desc, plan, sub.rank)
         g = np.arange(64, dtype=np.float32).reshape(8, 8)
         need = np.zeros((4, 4), dtype=np.float32)
-        reorganize_data(
-            sub, desc, [g[sub.rank].copy(), g[sub.rank + 4].copy()], need
+        DDR_ReorganizeData(
+            sub, 4, [g[sub.rank].copy(), g[sub.rank + 4].copy()], need, desc
         )
         r = sub.rank
         expect = g[4 * (r // 2) : 4 * (r // 2) + 4, 4 * (r % 2) : 4 * (r % 2) + 4]
