@@ -182,19 +182,19 @@ def _trace_redistribute(args: argparse.Namespace) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .obs import MetricsRegistry, tracing, write_chrome_trace
+    from .obs import METRICS, counting_transfers, tracing, write_chrome_trace
 
     demos = {"intransit": _trace_intransit, "redistribute": _trace_redistribute}
-    with tracing() as tracer:
+    with tracing() as tracer, counting_transfers():
         demos[args.demo](args)
     records = tracer.records()
 
     out = Path(args.out)
     write_chrome_trace(records, out)
 
-    registry = MetricsRegistry()
-    registry.ingest(records)
-    print(registry.summary(per_rank=args.per_rank))
+    # One report: span histograms next to the fault/resilience/transfer counters.
+    METRICS.ingest(records)
+    print(METRICS.summary(per_rank=args.per_rank))
     ranks = sorted({r.rank for r in records if r.rank is not None})
     print()
     print(

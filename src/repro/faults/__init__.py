@@ -18,7 +18,6 @@ deliberately not re-exported here).
 from .injector import (
     FAULTS,
     FaultLayer,
-    FaultStats,
     clear_fault_plan,
     fault_plan,
     install_fault_plan,
@@ -34,7 +33,6 @@ __all__ = [
     "FaultLayer",
     "FaultPlan",
     "FaultSpec",
-    "FaultStats",
     "ReliabilityPolicy",
     "clear_fault_plan",
     "fault_plan",

@@ -38,10 +38,11 @@ from ..lbm.simulation import LbmConfig
 from ..mpisim.comm import TRANSPORT_PACKED, TRANSPORT_SHM, TRANSPORT_ZEROCOPY, Communicator
 from ..mpisim.errors import MpiSimError, RankCrashError
 from ..mpisim.executor import RankFailure, SpmdHangError, run_spmd
+from ..obs.metrics import METRICS
 from ..resilience import ResilientRedistributor
 from ..utils.membudget import MEMORY_BUDGET, budget_scope
 from ..volren.decompose import grid_boxes, grid_shape
-from .injector import FAULTS, fault_plan
+from .injector import fault_plan, total_injected
 from .plan import FaultPlan
 from .policy import ReliabilityPolicy
 
@@ -737,8 +738,8 @@ def run_chaos(
                             executor=executor,
                         )
                 finally:
-                    injected = FAULTS.stats.total_injected()
-                    stats = FAULTS.stats.snapshot()
+                    stats = METRICS.snapshot("fault.")
+                    injected = total_injected(stats)
                     if budget_bytes:
                         run_peak = MEMORY_BUDGET.peak_bytes()
         except (RankFailure, SpmdHangError, MpiSimError) as exc:

@@ -2,7 +2,7 @@
 
 ``repro.mpisim.comm`` guards every injection point with a single attribute
 check — ``if FAULTS.active:`` — exactly the ``TRACER.enabled`` /
-``TRANSFER_COUNTERS.enabled`` discipline, so an uninstalled fault layer
+``METRICS.transfers_enabled`` discipline, so an uninstalled fault layer
 costs one attribute load per operation on the hot path.
 
 When a :class:`~repro.faults.plan.FaultPlan` is installed the layer:
@@ -24,9 +24,11 @@ When a :class:`~repro.faults.plan.FaultPlan` is installed the layer:
   retransmission) or raised as
   :class:`~repro.mpisim.errors.CorruptionError`, per policy.
 
-Every injected fault and recovery is counted in :class:`FaultStats` and —
-when tracing is enabled — recorded as a ``fault.*`` span, so chaos runs
-are fully visible in Perfetto traces and metrics summaries.
+Every injected fault and recovery is counted as a ``fault.<kind>`` counter
+in :data:`~repro.obs.metrics.METRICS` (:func:`total_injected` sums the
+injected kinds) and — when tracing is enabled — recorded as a ``fault.*``
+span, so chaos runs are fully visible in Perfetto traces and metrics
+summaries.
 
 Import discipline: this module is imported by ``repro.mpisim.comm`` at
 module level, so it must not import ``repro.mpisim`` at *its* module level
@@ -35,7 +37,6 @@ module level, so it must not import ``repro.mpisim`` at *its* module level
 
 from __future__ import annotations
 
-import threading
 import time
 import zlib
 from contextlib import contextmanager
@@ -43,6 +44,7 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
+from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
 from .plan import FaultPlan
 from .policy import CORRUPTION_RERETRIEVE, ReliabilityPolicy
@@ -50,10 +52,10 @@ from .policy import CORRUPTION_RERETRIEVE, ReliabilityPolicy
 __all__ = [
     "FAULTS",
     "FaultLayer",
-    "FaultStats",
     "clear_fault_plan",
     "fault_plan",
     "install_fault_plan",
+    "total_injected",
 ]
 
 
@@ -66,36 +68,17 @@ def _errors():
     return errors
 
 
-class FaultStats:
-    """Thread-safe counters for injected faults and recoveries."""
+#: Counter names (under ``fault.``) that record an injected fault, as opposed
+#: to a recovery such as a retry or re-retrieve.
+_INJECTED_KINDS = (
+    "delays", "drops", "transient_send", "transient_recv",
+    "corruptions", "round_faults", "crashes", "alloc_faults",
+)
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: dict[str, int] = {}
 
-    def incr(self, name: str, value: int = 1) -> None:
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + value
-
-    def get(self, name: str) -> int:
-        with self._lock:
-            return self._counts.get(name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def total_injected(self) -> int:
-        snap = self.snapshot()
-        return sum(
-            n for name, n in snap.items()
-            if name in ("delays", "drops", "transient_send", "transient_recv",
-                        "corruptions", "round_faults", "crashes", "alloc_faults")
-        )
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"{k}={v}" for k, v in sorted(self.snapshot().items()))
-        return f"FaultStats({items})"
+def total_injected(stats: dict[str, int]) -> int:
+    """Faults injected according to a ``METRICS.snapshot("fault.")``."""
+    return sum(stats.get(kind, 0) for kind in _INJECTED_KINDS)
 
 
 class FaultLayer:
@@ -106,7 +89,6 @@ class FaultLayer:
         self.active = False
         self.plan: Optional[FaultPlan] = None
         self.policy = ReliabilityPolicy()
-        self.stats = FaultStats()
         # Per-rank transport op counters and drop counts.  Each rank is one
         # thread and only touches its own key, so plain dicts are safe.
         self._ops: dict[int, int] = {}
@@ -124,10 +106,10 @@ class FaultLayer:
     # -- lifecycle -----------------------------------------------------------
 
     def install(self, plan: FaultPlan, policy: Optional[ReliabilityPolicy] = None) -> None:
-        """Install ``plan`` (resetting op counters and stats) and activate."""
+        """Install ``plan`` (resetting op counters and ``fault.*``) and activate."""
         self.plan = plan
         self.policy = policy if policy is not None else ReliabilityPolicy()
-        self.stats = FaultStats()
+        METRICS.reset("fault.")
         self._ops = {}
         self._drops = {}
         self._allocs = {}
@@ -136,7 +118,7 @@ class FaultLayer:
         self.active = True
 
     def clear(self) -> None:
-        """Deactivate; keeps the last stats readable for post-mortems."""
+        """Deactivate; keeps the last ``fault.*`` counts for post-mortems."""
         self.active = False
         self.plan = None
         self.pending_retries = {}
@@ -156,9 +138,12 @@ class FaultLayer:
         pending = "; ".join(
             f"rank {r} retrying {what}" for r, what in sorted(self.pending_retries.items())
         ) or "none"
+        counts = ", ".join(
+            f"{k}={v}" for k, v in sorted(METRICS.snapshot("fault.").items())
+        )
         return (
             f"{self.plan.summary()}; ops=[{ops}]; pending retries: {pending}; "
-            f"stats: {self.stats!r}"
+            f"faults: {counts}"
         )
 
     # -- injection points ----------------------------------------------------
@@ -171,7 +156,7 @@ class FaultLayer:
     def _check_crash(self, rank: int, op: int) -> None:
         assert self.plan is not None
         if self.plan.crashes(rank, op):
-            self.stats.incr("crashes")
+            METRICS.incr("fault.crashes")
             self._crashed.add(rank)
             if TRACER.enabled:
                 with TRACER.span("fault.crash", rank=rank, op=op):
@@ -185,7 +170,7 @@ class FaultLayer:
         assert self.plan is not None
         seconds = self.plan.delay_s(rank, op, tag)
         if seconds > 0:
-            self.stats.incr("delays")
+            METRICS.incr("fault.delays")
             if TRACER.enabled:
                 with TRACER.span("fault.delay", rank=rank, op=op, seconds=seconds):
                     time.sleep(seconds)
@@ -198,11 +183,11 @@ class FaultLayer:
         failures = self.plan.transient_failures(point, rank, op)
         if not failures:
             return
-        self.stats.incr(f"transient_{point}", failures)
+        METRICS.incr(f"fault.transient_{point}", failures)
         allowed = 1 + self.policy.max_retries
         if failures >= allowed:
-            self.stats.incr("retries", allowed - 1)
-            self.stats.incr("retries_exhausted")
+            METRICS.incr("fault.retries", allowed - 1)
+            METRICS.incr("fault.retries_exhausted")
             raise _errors().RetriesExhaustedError(
                 f"rank {rank} {point} op {op}: {failures} consecutive transient "
                 f"failures exceed the retry budget ({self.policy.max_retries})"
@@ -210,7 +195,7 @@ class FaultLayer:
         self.pending_retries[rank] = f"{point} op {op} ({failures} attempt(s))"
         try:
             for attempt in range(1, failures + 1):
-                self.stats.incr("retries")
+                METRICS.incr("fault.retries")
                 backoff = self.policy.backoff_s(attempt)
                 if TRACER.enabled:
                     with TRACER.span(
@@ -233,7 +218,7 @@ class FaultLayer:
         self._transient("send", rank, op)
         if self.plan.drop(rank, op, tag, self._drops.get(rank, 0)):
             self._drops[rank] = self._drops.get(rank, 0) + 1
-            self.stats.incr("drops")
+            METRICS.incr("fault.drops")
             if TRACER.enabled:
                 with TRACER.span("fault.drop", rank=rank, op=op, tag=tag):
                     pass
@@ -267,14 +252,14 @@ class FaultLayer:
             return
         if zlib.crc32(payload.tobytes()) == checksum:
             return
-        self.stats.incr("corruption_detected")
+        METRICS.incr("fault.corruption_detected")
         pristine = getattr(message, "pristine", None)
         if pristine is not None and self.policy.corruption == CORRUPTION_RERETRIEVE:
             # Simulated retransmission: the sender's retained payload is
             # intact, so verify-and-reretrieve heals the message.
             message.payload = pristine
             message.pristine = None
-            self.stats.incr("reretrieves")
+            METRICS.incr("fault.reretrieves")
             if TRACER.enabled:
                 with TRACER.span(
                     "fault.reretrieve", source=message.source, tag=message.tag
@@ -304,11 +289,11 @@ class FaultLayer:
         failures = self.plan.alloc_failures(rank, op)
         if not failures:
             return
-        self.stats.incr("alloc_faults", failures)
+        METRICS.incr("fault.alloc_faults", failures)
         allowed = 1 + self.policy.max_retries
         if failures >= allowed:
-            self.stats.incr("retries", allowed - 1)
-            self.stats.incr("retries_exhausted")
+            METRICS.incr("fault.retries", allowed - 1)
+            METRICS.incr("fault.retries_exhausted")
             raise _errors().MemoryBudgetError(
                 f"rank {rank} staging allocation {op} ({nbytes} bytes): "
                 f"{failures} consecutive allocation failures exceed the "
@@ -317,7 +302,7 @@ class FaultLayer:
         self.pending_retries[rank] = f"alloc op {op} ({failures} attempt(s))"
         try:
             for attempt in range(1, failures + 1):
-                self.stats.incr("retries")
+                METRICS.incr("fault.retries")
                 backoff = self.policy.backoff_s(attempt)
                 if TRACER.enabled:
                     with TRACER.span(
@@ -340,7 +325,7 @@ class FaultLayer:
         assert self.plan is not None
         failures = self.plan.round_failures(rank, round_index)
         if attempt < failures:
-            self.stats.incr("round_faults")
+            METRICS.incr("fault.round_faults")
             if TRACER.enabled:
                 with TRACER.span(
                     "fault.round", rank=rank, round=round_index, attempt=attempt
@@ -361,7 +346,7 @@ class FaultLayer:
             return
         message.checksum = zlib.crc32(payload.tobytes())
         if self.plan.corrupt(rank, op, tag):
-            self.stats.incr("corruptions")
+            METRICS.incr("fault.corruptions")
             corrupted = payload.copy()
             flat = corrupted.reshape(-1).view(np.uint8)
             index = self.plan._rng("corruptbyte", rank, op).randrange(flat.size)

@@ -56,10 +56,10 @@ from ..mpisim.errors import (
     RankCrashError,
     RevokedError,
 )
+from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
 from ..resilience.checkpoint import CheckpointPolicy, shared_store
 from ..resilience.errors import DataLossError, ReconfigurationError
-from ..resilience.redistributor import RESILIENCE_STATS
 from ..viz.colormaps import BLUE_WHITE_RED, GRAYSCALE
 from ..viz.image import assemble_tiles, render_scalar_field
 from ..volren.decompose import grid_boxes, grid_shape
@@ -425,7 +425,7 @@ class _Driver:
                 [(self.slab, np.moveaxis(self.sim.interior, 0, -1))],
                 retain=self.policy.retain,
             )
-            RESILIENCE_STATS.incr("deposits")
+            METRICS.incr("resilience.deposits")
         with TRACER.span("phase.sim_step", frame=frame):
             self.sim.step(config.output_every)
             fields = _sim_fields(self.sim, config.variables)
@@ -547,7 +547,7 @@ class _Driver:
     def _resize(self, frame: int, m: int, n: int) -> None:
         """Schedule trigger: re-split the pool from live state (bit-exact)."""
         self.resizes += 1
-        RESILIENCE_STATS.incr("pipeline_resizes")
+        METRICS.incr("resilience.pipeline_resizes")
         with TRACER.span("resilience.pipeline_resize", frame=frame, m=m, n=n):
             source = []
             if self.role == ROLE_SIM:
@@ -574,7 +574,7 @@ class _Driver:
         frame, shrink, restore from buddy checkpoints; returns the rollback
         frame."""
         self.recoveries += 1
-        RESILIENCE_STATS.incr("pipeline_recoveries")
+        METRICS.incr("resilience.pipeline_recoveries")
         fabric = self.world.fabric
         with TRACER.span("resilience.pipeline_recover", rank=self.my_world):
             self.world.revoke()
@@ -589,7 +589,7 @@ class _Driver:
             m = sum(w not in dead for w in sims)
             n = sum(w not in dead for w in members[self.m : self.m + self.n])
             self.ranks_lost += len(dead)
-            RESILIENCE_STATS.incr("ranks_lost", len(dead))
+            METRICS.incr("resilience.ranks_lost", len(dead))
             if n < 1 or m < n:
                 raise ReconfigurationError(
                     "cannot reconfigure the pipeline over the survivors: "
@@ -627,7 +627,7 @@ class _Driver:
                 )
             state, exact = got
             if not exact:
-                RESILIENCE_STATS.incr("stale_restores")
+                METRICS.incr("resilience.stale_restores")
             source.append((box, state))
         return source
 

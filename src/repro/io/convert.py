@@ -17,7 +17,7 @@ from ..core.box import Box
 from ..imaging.bricks import BrickedVolume
 from ..imaging.stack import TiffStack
 from ..mpisim.comm import Communicator
-from ..utils.timing import StopwatchRegistry
+from ..utils.timing import Timer
 from ..volren.decompose import split_extent
 from .assignment import Assignment, owned_chunks
 from .stackload import stack_geometry
@@ -40,23 +40,25 @@ def convert_stack_to_bricks(
     out_path,
     brick: int = 32,
     strategy: Assignment = Assignment.CONSECUTIVE,
-) -> StopwatchRegistry:
-    """Collective conversion; returns this rank's phase timings.
+) -> dict[str, float]:
+    """Collective conversion; returns this rank's ``{phase: seconds}``
+    (``read``, ``exchange``, ``write``, plus ``allocate`` on rank 0).
 
     Each rank's *need* is a slab of whole brick z-layers, so after one DDR
     exchange it can cut bricks locally and write them at their fixed file
     offsets.
     """
     geometry = stack_geometry(stack)
-    timers = StopwatchRegistry()
+    phases: dict[str, float] = {}
 
     # Rank 0 allocates the output file; everyone else waits.
     if comm.rank == 0:
-        with timers.time("allocate"):
+        with Timer() as allocate:
             probe = stack.read_slice(stack.indices()[0])
             BrickedVolume.create(
                 out_path, geometry.volume_dims, probe.dtype, brick=brick
             )
+        phases["allocate"] = allocate.elapsed
     comm.Barrier()
     volume = BrickedVolume(out_path)
     header = volume.header
@@ -64,10 +66,11 @@ def convert_stack_to_bricks(
     # Balanced slice reads (the DDR producer side).
     chunks = owned_chunks(geometry, comm.size, comm.rank, strategy)
     buffers: list[np.ndarray] = []
-    with timers.time("read"):
+    with Timer() as read:
         for chunk in chunks:
             z0, depth = chunk.offset[2], chunk.dims[2]
             buffers.append(np.stack([stack.read_slice(z) for z in range(z0, z0 + depth)]))
+    phases["read"] = read.elapsed
 
     # Needs: whole brick z-layers, contiguous per rank (consumer side).
     gx, gy, gz = header.grid
@@ -79,12 +82,13 @@ def convert_stack_to_bricks(
     else:
         need = None
 
-    with timers.time("exchange"):
+    with Timer() as exchange:
         red = Redistributor(comm, ndims=3, dtype=header.dtype)
         red.setup(own=chunks, need=need)
         slab = red.gather_need(buffers)
+    phases["exchange"] = exchange.elapsed
 
-    with timers.time("write"):
+    with Timer() as write:
         if slab is not None:
             for k in range(layer_lo, layer_hi):
                 for j in range(gy):
@@ -96,5 +100,6 @@ def convert_stack_to_bricks(
                             z0 - z_lo : z0 - z_lo + d, y0 : y0 + h, x0 : x0 + w
                         ]
                         volume.write_brick(i, j, k, np.ascontiguousarray(data))
+    phases["write"] = write.elapsed
     comm.Barrier()  # conversion is complete for everyone
-    return timers
+    return phases

@@ -25,7 +25,7 @@ from ..imaging.stack import TiffStack
 from ..imaging.tiff import read_tiff_info
 from ..mpisim.comm import Communicator
 from ..obs.tracer import TRACER
-from ..utils.timing import StopwatchRegistry
+from ..utils.timing import Timer
 from ..volren.decompose import grid_boxes
 from .assignment import Assignment, StackGeometry, owned_chunks
 
@@ -51,15 +51,8 @@ class LoadedBlock:
 
     box: Box  # paper-order (x, y, z) geometry
     data: np.ndarray  # C-order (z, y, x) array
-    timers: StopwatchRegistry
-
-    @property
-    def read_s(self) -> float:
-        return self.timers.total("read")
-
-    @property
-    def exchange_s(self) -> float:
-        return self.timers.total("exchange")
+    read_s: float  # wall seconds in ``phase.read``
+    exchange_s: float = 0.0  # wall seconds in ``phase.redistribute``
 
 
 def _crop(image: np.ndarray, box: Box) -> np.ndarray:
@@ -77,16 +70,14 @@ def load_stack_no_ddr(
     """Baseline loader: whole-slice decode per rank, per touched slice."""
     geometry = stack_geometry(stack)
     need = grid_boxes(geometry.volume_dims, grid)[comm.rank]
-    timers = StopwatchRegistry()
-
     z0, depth = need.offset[2], need.dims[2]
     planes = []
-    with TRACER.span("phase.read", strategy="no_ddr", slices=depth), timers.time("read"):
+    with TRACER.span("phase.read", strategy="no_ddr", slices=depth), Timer() as read:
         for z in range(z0, z0 + depth):
             image = stack.read_slice(z)  # full decode, mostly discarded
             planes.append(np.ascontiguousarray(_crop(image, need)))
     data = np.stack(planes)
-    return LoadedBlock(box=need, data=data, timers=timers)
+    return LoadedBlock(box=need, data=data, read_s=read.elapsed)
 
 
 def load_stack_ddr(
@@ -100,11 +91,10 @@ def load_stack_ddr(
     geometry = stack_geometry(stack)
     need = grid_boxes(geometry.volume_dims, grid)[comm.rank]
     chunks = owned_chunks(geometry, comm.size, comm.rank, strategy)
-    timers = StopwatchRegistry()
 
     dtype = None
     buffers: list[np.ndarray] = []
-    with TRACER.span("phase.read", strategy=strategy.name.lower()), timers.time("read"):
+    with TRACER.span("phase.read", strategy=strategy.name.lower()), Timer() as read:
         for chunk in chunks:
             z0, depth = chunk.offset[2], chunk.dims[2]
             planes = [stack.read_slice(z) for z in range(z0, z0 + depth)]
@@ -115,10 +105,12 @@ def load_stack_ddr(
         probe = stack.read_slice(0)
         dtype = probe.dtype
 
-    with TRACER.span("phase.redistribute", backend=backend), timers.time("exchange"):
+    with TRACER.span("phase.redistribute", backend=backend), Timer() as exchange:
         red = Redistributor(comm, ndims=3, dtype=dtype, backend=backend)
         red.setup(own=chunks, need=need)
         data = np.empty(need.np_shape(), dtype=dtype)
         red.exchange(buffers, data)
 
-    return LoadedBlock(box=need, data=data, timers=timers)
+    return LoadedBlock(
+        box=need, data=data, read_s=read.elapsed, exchange_s=exchange.elapsed
+    )

@@ -49,9 +49,9 @@ from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
 import numpy as np
 
 from ..faults.injector import FAULTS
+from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
 from ..utils.membudget import MEMORY_BUDGET
-from ..utils.timing import TRANSFER_COUNTERS
 from .datatypes import Datatype, named_type_for
 from .errors import (
     AbortError,
@@ -643,9 +643,9 @@ def _payload_from(buf: np.ndarray, datatype: Optional[Datatype]) -> np.ndarray:
         return datatype.pack(np.ascontiguousarray(arr))
     if not arr.flags["C_CONTIGUOUS"]:
         arr = np.ascontiguousarray(arr)
-    if TRANSFER_COUNTERS.enabled:
-        TRANSFER_COUNTERS.count_alloc(arr.nbytes)
-        TRANSFER_COUNTERS.count_copy("payload", arr.nbytes)
+    if METRICS.transfers_enabled:
+        METRICS.count_alloc(arr.nbytes)
+        METRICS.count_copy("payload", arr.nbytes)
     return arr.reshape(-1).copy()
 
 
@@ -670,8 +670,8 @@ def _payload_into(buf: np.ndarray, datatype: Optional[Datatype], payload: np.nda
             f"message of {payload.size} elements truncated: receive buffer holds {flat.size}"
         )
     flat[: payload.size] = payload.astype(flat.dtype, copy=False)
-    if TRANSFER_COUNTERS.enabled:
-        TRANSFER_COUNTERS.count_copy("unpack", payload.size * payload.dtype.itemsize)
+    if METRICS.transfers_enabled:
+        METRICS.count_copy("unpack", payload.size * payload.dtype.itemsize)
     return payload.size * payload.dtype.itemsize
 
 
@@ -719,14 +719,14 @@ def _rendezvous_copy(
         src_view = handle.datatype.view(handle.buffer)
         if src_view is None:
             flat[:count] = handle.datatype.pack(handle.buffer)
-            if TRANSFER_COUNTERS.enabled:
-                TRANSFER_COUNTERS.count_copy("payload", count * handle.itemsize())
+            if METRICS.transfers_enabled:
+                METRICS.count_copy("payload", count * handle.itemsize())
             return count * handle.itemsize()
     else:
         src_view = handle.buffer.reshape(-1)
     np.copyto(flat[:count].reshape(src_view.shape), src_view, casting="unsafe")
-    if TRANSFER_COUNTERS.enabled:
-        TRANSFER_COUNTERS.count_copy("direct", count * handle.itemsize())
+    if METRICS.transfers_enabled:
+        METRICS.count_copy("direct", count * handle.itemsize())
     return count * handle.itemsize()
 
 
@@ -1023,8 +1023,9 @@ class Communicator:
     # -- tracing hooks -------------------------------------------------------
     #
     # Every hook is guarded by a single ``TRACER.enabled`` check before any
-    # span attribute is computed (the TransferCounters discipline), so the
-    # disabled cost on the hot path is one attribute load per operation.
+    # span attribute is computed (as ``METRICS.transfers_enabled`` guards
+    # transfer accounting), so the disabled cost on the hot path is one
+    # attribute load per operation.
 
     def _span(self, name: str, **attrs):
         return TRACER.span(name, rank=self._world_ranks[self._rank], **attrs)
@@ -1126,8 +1127,8 @@ class Communicator:
             if not arr.flags["C_CONTIGUOUS"]:
                 arr = np.ascontiguousarray(arr)
             view[:] = arr.reshape(-1)
-        if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_copy("payload", nbytes)
+        if METRICS.transfers_enabled:
+            METRICS.count_copy("payload", nbytes)
         return ShmTicket(segment.name, arr.dtype.str, count, segment=segment), charged
 
     def Isend(

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..utils.timing import TRANSFER_COUNTERS
+from ..obs.metrics import METRICS
 from .errors import DatatypeError
 
 ORDER_C = "C"
@@ -106,8 +106,8 @@ class Datatype:
             else:
                 target.unpack(dst, self.pack(src))
                 return nbytes
-            if TRANSFER_COUNTERS.enabled:
-                TRANSFER_COUNTERS.count_copy("direct", nbytes)
+            if METRICS.transfers_enabled:
+                METRICS.count_copy("direct", nbytes)
             return nbytes
         target.unpack(dst, self.pack(src))
         return nbytes
@@ -142,8 +142,8 @@ def _packed(selected: np.ndarray, out: Optional[np.ndarray], dtype: np.dtype) ->
     nbytes = count * dtype.itemsize
     if out is None:
         result = np.empty(count, dtype=dtype)
-        if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_alloc(nbytes)
+        if METRICS.transfers_enabled:
+            METRICS.count_alloc(nbytes)
     else:
         if out.ndim != 1 or out.dtype != dtype or not out.flags["C_CONTIGUOUS"]:
             raise DatatypeError(
@@ -154,8 +154,8 @@ def _packed(selected: np.ndarray, out: Optional[np.ndarray], dtype: np.dtype) ->
             raise DatatypeError(f"pack out array holds {out.size} elements, need {count}")
         result = out[:count]
     np.copyto(result.reshape(selected.shape), selected)
-    if TRANSFER_COUNTERS.enabled:
-        TRANSFER_COUNTERS.count_copy("pack", nbytes)
+    if METRICS.transfers_enabled:
+        METRICS.count_copy("pack", nbytes)
     return result
 
 
@@ -189,8 +189,8 @@ class NamedType(Datatype):
     def unpack(self, buffer: np.ndarray, data: np.ndarray) -> None:
         flat = self._require_buffer(buffer)
         flat[:1] = data
-        if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_copy("unpack", self.dtype.itemsize)
+        if METRICS.transfers_enabled:
+            METRICS.count_copy("unpack", self.dtype.itemsize)
 
     def Create_contiguous(self, count: int) -> "ContiguousType":
         return ContiguousType(self, count)
@@ -241,8 +241,8 @@ class ContiguousType(Datatype):
         if flat.size < self.count:
             raise DatatypeError(f"buffer has {flat.size} elements, type needs {self.count}")
         flat[: self.count] = data
-        if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_copy("unpack", self.size_bytes())
+        if METRICS.transfers_enabled:
+            METRICS.count_copy("unpack", self.size_bytes())
 
 
 class VectorType(Datatype):
@@ -298,9 +298,9 @@ class VectorType(Datatype):
             return _packed(selected, out, self.base_dtype)
         flat = self._require_buffer(buffer)
         gathered = flat[self._indices_cache]  # fancy indexing gathers into a new array
-        if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_alloc(self.size_bytes())
-            TRANSFER_COUNTERS.count_copy("pack", self.size_bytes())
+        if METRICS.transfers_enabled:
+            METRICS.count_alloc(self.size_bytes())
+            METRICS.count_copy("pack", self.size_bytes())
         if out is None:
             return gathered
         return _packed(gathered, out, self.base_dtype)
@@ -310,8 +310,8 @@ class VectorType(Datatype):
         if flat.size < self._extent_cache:
             raise DatatypeError("buffer smaller than vector extent")
         flat[self._indices_cache] = data
-        if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_copy("unpack", self.size_bytes())
+        if METRICS.transfers_enabled:
+            METRICS.count_copy("unpack", self.size_bytes())
 
 
 class SubarrayType(Datatype):
@@ -407,8 +407,8 @@ class SubarrayType(Datatype):
         grid[self._slices_cache] = np.asarray(data, dtype=self.base_dtype).reshape(
             self.subsizes
         )
-        if TRANSFER_COUNTERS.enabled:
-            TRANSFER_COUNTERS.count_copy("unpack", self.size_bytes())
+        if METRICS.transfers_enabled:
+            METRICS.count_copy("unpack", self.size_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ the queue only carries a tiny :class:`~repro.mpisim.shm.ShmTicket`.
 Control plane (parent side):
 
 * result queue — each child ships one :class:`_ResultEnvelope` carrying
-  its return value (or exception), its closed trace spans, and its fault
-  stats; the parent merges spans into the process-wide ``TRACER`` (the
+  its return value (or exception), its closed trace spans, and its
+  counters; the parent merges spans into the process-wide ``TRACER`` (the
   epoch is shared — ``time.perf_counter`` is system-wide on Linux — so
-  all ranks land on one timeline) and fault counters into ``FAULTS``.
+  all ranks land on one timeline) and counters into ``METRICS``.
 * abort event + text — ``Fabric.abort`` in any child trips it; peers
   notice within one 0.25 s condition-wait tick.
 * hard-death watch — a child that vanishes without an envelope (``os._exit``,
@@ -66,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional, Sequence
 
 from ..faults.injector import FAULTS
+from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER, SpanRecord
 from .comm import DEFAULT_DEADLOCK_TIMEOUT, Communicator, Fabric, _Message
 from .errors import AbortError, CommunicatorError, ProcessFailedError, RankCrashError
@@ -125,7 +126,7 @@ class _ResultEnvelope:
     kind: str  # "ok" | "aborted" | "crashed" | "error"
     value: Any = None
     spans: list = field(default_factory=list)
-    fault_stats: dict = field(default_factory=dict)
+    counters: dict = field(default_factory=dict)  # METRICS.snapshot()
 
 
 class ProcessFabric(Fabric):
@@ -347,7 +348,7 @@ def _pickle_safe(envelope: _ResultEnvelope) -> _ResultEnvelope:
         pickle.dumps(envelope)
     except Exception:
         envelope.spans = []
-        envelope.fault_stats = {}
+        envelope.counters = {}
     return envelope
 
 
@@ -366,6 +367,9 @@ def _child_main(
     shm_mod.forget_foreign()
     TRACER.reset_for_child(cfg.trace_epoch, cfg.trace_enabled)
     TRACER.set_thread_rank(rank)
+    # Count from zero so the parent can add our counters to its own; the
+    # inherited ``transfers_enabled`` guard stays as the parent set it.
+    METRICS.reset()
     if cfg.plan is not None:
         FAULTS.install(cfg.plan, cfg.policy)  # fresh per-child op counters
     else:
@@ -397,7 +401,7 @@ def _child_main(
             kind=kind,
             value=value,
             spans=TRACER.records() if cfg.trace_enabled else [],
-            fault_stats=FAULTS.stats.snapshot() if cfg.plan is not None else {},
+            counters=METRICS.snapshot(),
         )
     )
     cfg.result_queue.put(envelope)
@@ -665,11 +669,10 @@ def run_spmd_processes(
 
 
 def _merge_observability(envelopes) -> None:
-    """Fold children's spans and fault stats into the parent singletons."""
+    """Fold children's spans and counters into the parent singletons."""
     spans: list[SpanRecord] = []
     for env in envelopes:
         spans.extend(env.spans)
-        for name, count in env.fault_stats.items():
-            FAULTS.stats.incr(name, count)
+        METRICS.merge(env.counters)
     if spans and TRACER.enabled:
         TRACER.ingest(spans)

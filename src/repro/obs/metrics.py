@@ -1,40 +1,48 @@
-"""Metrics: histograms + counters, folded from trace spans and the legacy
-timing/transfer accounting paths.
+"""Metrics: the one counter/histogram registry.
 
-:class:`MetricsRegistry` is the single reporting sink the observability
-layer funnels into.  Three producers feed it:
+:class:`MetricsRegistry` holds flat-named counters (:meth:`~MetricsRegistry.incr`,
+:meth:`~MetricsRegistry.gauge`) and duration histograms kept both per rank
+and aggregated across ranks (:meth:`~MetricsRegistry.observe`, and
+:meth:`~MetricsRegistry.ingest` for closed trace spans).  One summary
+prints both.
 
-* :meth:`MetricsRegistry.ingest` — span records from the
-  :class:`~repro.obs.tracer.Tracer`, folded into per-name duration
-  histograms, kept both per rank and aggregated across ranks;
-* :meth:`MetricsRegistry.absorb_stopwatches` — a
-  :class:`~repro.utils.timing.StopwatchRegistry` (the use-case drivers'
-  read/exchange/render totals);
-* :meth:`MetricsRegistry.absorb_transfers` — a
-  :class:`~repro.utils.timing.TransferCounters` snapshot (copy/allocation
-  counts from the transport layer);
-* :meth:`MetricsRegistry.absorb_faults` — a
-  :class:`~repro.faults.FaultStats` snapshot (injected faults and
-  recoveries from the fault layer).
+The process-wide instance :data:`METRICS` carries the runtime's counters:
 
-so the pre-existing reporting paths and the new tracing layer print through
-one :meth:`summary`.
+* ``fault.<kind>`` — injected faults and recoveries (``repro.faults``;
+  ``FaultLayer.install`` resets ``fault.*``);
+* ``resilience.<name>`` — recoveries, deposits, replays and resizes
+  (``repro.resilience``, ``repro.intransit``);
+* ``transfer.copies.<kind>``, ``transfer.bytes_copied.<kind>``,
+  ``transfer.allocations``, ``transfer.bytes_allocated``,
+  ``transfer.pool_evictions``, ``transfer.bytes_evicted`` — copy and
+  staging accounting from the transport layer, so tests and benches can
+  *assert* copy counts instead of inferring them from timings.  Counted
+  only inside :func:`counting_transfers`; every hot-path hook is one
+  ``METRICS.transfers_enabled`` check otherwise.
+
+Under the process executor each forked rank resets :data:`METRICS` and
+ships its counters back with its result; the parent merges them, so a
+counter reads the same on either executor.  A component that needs a
+private view (a serving hub, an autoscaler) owns its own instance.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional
 
-from ..utils.timing import StopwatchRegistry, TransferCounters
 from .tracer import SpanRecord
 
-__all__ = ["Histogram", "MetricsRegistry"]
+__all__ = ["Histogram", "METRICS", "MetricsRegistry", "counting_transfers"]
 
 #: Histogram bucket upper bounds, in seconds (log-spaced; +inf overflow).
 BUCKET_BOUNDS_S = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
+
+#: Copy kinds the transport layer reports.
+COPY_KINDS = ("pack", "unpack", "payload", "direct")
 
 
 @dataclass
@@ -62,22 +70,6 @@ class Histogram:
                 return
         self.buckets[-1] += 1
 
-    def observe_aggregate(self, count: int, total: float) -> None:
-        """Fold in a pre-accumulated (count, total) pair with no per-sample
-        detail (the ``StopwatchRegistry`` shape); buckets see the mean."""
-        if count <= 0:
-            return
-        mean = total / count
-        self.count += count
-        self.total += total
-        self.min = min(self.min, mean)
-        self.max = max(self.max, mean)
-        for index, bound in enumerate(BUCKET_BOUNDS_S):
-            if mean <= bound:
-                self.buckets[index] += count
-                return
-        self.buckets[-1] += count
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -95,14 +87,17 @@ class MetricsRegistry:
     """Thread-safe counters + named histograms, per rank and aggregate."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self.counters: dict[str, float] = {}
         #: aggregate across all ranks
         self.histograms: dict[str, Histogram] = {}
         #: rank -> name -> Histogram (rank ``None`` = driver thread)
         self.by_rank: dict[Optional[int], dict[str, Histogram]] = {}
+        #: Hot-path guard for ``transfer.*`` accounting; see
+        #: :func:`counting_transfers`.  Survives :meth:`reset`.
+        self.transfers_enabled = False
 
-    # -- primitive sinks -----------------------------------------------------
+    # -- counters ------------------------------------------------------------
 
     def incr(self, name: str, value: float = 1) -> None:
         with self._lock:
@@ -113,6 +108,52 @@ class MetricsRegistry:
         latest observation wins — pool bytes, queue depth, ladder level)."""
         with self._lock:
             self.counters[name] = float(value)
+
+    def get(self, name: str) -> float:
+        with self._lock:
+            return self.counters.get(name, 0)
+
+    def snapshot(self, prefix: str = "") -> dict[str, float]:
+        """The counters under ``prefix``, keyed with the prefix stripped."""
+        with self._lock:
+            return {
+                name[len(prefix):]: value
+                for name, value in self.counters.items()
+                if name.startswith(prefix)
+            }
+
+    def reset(self, prefix: str = "") -> dict[str, float]:
+        """Drop the counters under ``prefix``; returns what was dropped
+        (as :meth:`snapshot` would have)."""
+        with self._lock:
+            dropped = self.snapshot(prefix)
+            for name in dropped:
+                del self.counters[prefix + name]
+            return dropped
+
+    def merge(self, counters: dict[str, float], prefix: str = "") -> None:
+        """Add ``{name: value}`` into the counters under ``prefix``."""
+        with self._lock:
+            for name, value in counters.items():
+                full = prefix + name
+                self.counters[full] = self.counters.get(full, 0) + value
+
+    # -- transfer accounting (call behind ``transfers_enabled``) -------------
+
+    def count_copy(self, kind: str, nbytes: int) -> None:
+        if kind not in COPY_KINDS:
+            raise ValueError(
+                f"unknown copy kind {kind!r}; expected one of {COPY_KINDS}"
+            )
+        self.merge({f"copies.{kind}": 1, f"bytes_copied.{kind}": int(nbytes)}, "transfer.")
+
+    def count_alloc(self, nbytes: int) -> None:
+        self.merge({"allocations": 1, "bytes_allocated": int(nbytes)}, "transfer.")
+
+    def count_eviction(self, nbytes: int) -> None:
+        self.merge({"pool_evictions": 1, "bytes_evicted": int(nbytes)}, "transfer.")
+
+    # -- histograms ----------------------------------------------------------
 
     def observe(self, name: str, seconds: float, rank: Optional[int] = None) -> None:
         with self._lock:
@@ -126,8 +167,6 @@ class MetricsRegistry:
             hist = table[name] = Histogram()
         return hist
 
-    # -- producers -----------------------------------------------------------
-
     def ingest(self, records: Iterable[SpanRecord]) -> None:
         """Fold closed spans into duration histograms and byte counters."""
         for record in records:
@@ -135,58 +174,6 @@ class MetricsRegistry:
             nbytes = record.attrs.get("nbytes")
             if nbytes is not None:
                 self.incr(f"{record.name}.bytes", int(nbytes))
-
-    def absorb_stopwatches(
-        self,
-        stopwatches: StopwatchRegistry,
-        rank: Optional[int] = None,
-        prefix: str = "phase.",
-    ) -> None:
-        """Fold a driver's named stopwatch totals in as histograms."""
-        with self._lock:
-            for name, total in stopwatches.totals.items():
-                count = stopwatches.counts.get(name, 1)
-                full = f"{prefix}{name}"
-                self._histogram(self.histograms, full).observe_aggregate(count, total)
-                self._histogram(self.by_rank.setdefault(rank, {}), full).observe_aggregate(
-                    count, total
-                )
-
-    def absorb_transfers(
-        self, counters: Union[TransferCounters, dict], prefix: str = "transfer."
-    ) -> None:
-        """Fold a transfer-counter snapshot into plain counters."""
-        snapshot = counters.snapshot() if isinstance(counters, TransferCounters) else counters
-        for kind, n in snapshot["copies"].items():
-            if n:
-                self.incr(f"{prefix}copies.{kind}", n)
-        for kind, n in snapshot["bytes_copied"].items():
-            if n:
-                self.incr(f"{prefix}bytes_copied.{kind}", n)
-        if snapshot["allocations"]:
-            self.incr(f"{prefix}allocations", snapshot["allocations"])
-            self.incr(f"{prefix}bytes_allocated", snapshot["bytes_allocated"])
-        # Older snapshots (pre pool-eviction accounting) lack these keys.
-        if snapshot.get("evictions"):
-            self.incr(f"{prefix}pool_evictions", snapshot["evictions"])
-            self.incr(f"{prefix}bytes_evicted", snapshot.get("bytes_evicted", 0))
-
-    def absorb_faults(self, stats, prefix: str = "fault.") -> None:
-        """Fold a fault-layer stats snapshot into plain counters.
-
-        ``stats`` is a :class:`~repro.faults.FaultStats` (anything with a
-        ``snapshot()``) or a plain ``{name: count}`` dict.
-        """
-        snapshot = stats.snapshot() if hasattr(stats, "snapshot") else dict(stats)
-        for name, n in snapshot.items():
-            if n:
-                self.incr(f"{prefix}{name}", n)
-
-    def absorb_resilience(self, stats, prefix: str = "resilience.") -> None:
-        """Fold a resilience stats snapshot (recoveries, deposits, replays,
-        adoptions, ...) into plain counters; same contract as
-        :meth:`absorb_faults`."""
-        self.absorb_faults(stats, prefix=prefix)
 
     # -- reporting -----------------------------------------------------------
 
@@ -218,3 +205,34 @@ class MetricsRegistry:
             f"{name:<24} {hist.count:>7d} {hist.total:>10.4f} {hist.mean * 1e3:>10.3f} "
             f"{hist.min * 1e3:>10.3f} {hist.max * 1e3:>10.3f}"
         )
+
+
+#: Process-wide registry the runtime's counters report into.  All SPMD
+#: "ranks" of the thread executor share it; forked ranks merge into it.
+METRICS = MetricsRegistry()
+
+
+@contextmanager
+def counting_transfers() -> Iterator[MetricsRegistry]:
+    """Count ``transfer.*`` in :data:`METRICS` within a block.
+
+    The block starts from zero, and nesting is safe: the prior
+    ``transfer.*`` counts and ``transfers_enabled`` flag are saved on
+    entry and restored on exit with the block's counts added in, so an
+    outer block sees everything that happened inside it and keeps
+    counting.
+
+    >>> with counting_transfers() as metrics:
+    ...     metrics.snapshot("transfer.")
+    {}
+    """
+    with METRICS._lock:
+        prior_enabled = METRICS.transfers_enabled
+        prior = METRICS.reset("transfer.")
+        METRICS.transfers_enabled = True
+    try:
+        yield METRICS
+    finally:
+        with METRICS._lock:
+            METRICS.transfers_enabled = prior_enabled
+            METRICS.merge(prior, "transfer.")

@@ -12,7 +12,7 @@ nest naturally through the ``with`` stack; the per-thread open-span stack
 is also inspectable (:meth:`Tracer.active_spans`), which is how
 ``run_spmd`` names what a wedged rank was doing when it diagnoses a hang.
 
-Cost discipline (same as ``TransferCounters``): every hot-path call site
+Cost discipline: every hot-path call site
 guards on ``TRACER.enabled`` — a single attribute check — before computing
 any span attributes.  ``span()`` itself also returns a no-op singleton when
 tracing is off, so warm paths may call it unguarded.
@@ -239,8 +239,7 @@ TRACER = Tracer(enabled=_env_enabled())
 @contextmanager
 def tracing(tracer: Tracer = TRACER, clear: bool = True) -> Iterator[Tracer]:
     """Enable tracing within a block; prior state is saved and restored
-    (so nested scopes compose — the discipline ``counting_transfers``
-    originally got wrong).  With ``clear=True`` (default) records from
+    (so nested scopes compose).  With ``clear=True`` (default) records from
     before the block are dropped on entry; a nested scope that must not
     clobber its parent's records passes ``clear=False``."""
     was_enabled = tracer.enabled

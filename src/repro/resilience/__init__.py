@@ -17,14 +17,13 @@ Layers (see DESIGN.md "Resilience"):
 
 from .checkpoint import BuddyStore, CheckpointPolicy, shared_store
 from .errors import DataLossError, ReconfigurationError
-from .redistributor import RESILIENCE_STATS, ResilientRedistributor
+from .redistributor import ResilientRedistributor
 from .shmstore import ShmBuddyStore
 
 __all__ = [
     "BuddyStore",
     "CheckpointPolicy",
     "DataLossError",
-    "RESILIENCE_STATS",
     "ReconfigurationError",
     "ResilientRedistributor",
     "ShmBuddyStore",

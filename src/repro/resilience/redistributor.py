@@ -49,7 +49,6 @@ import numpy as np
 
 from ..core.api import Redistributor, ResizeResult
 from ..core.box import Box
-from ..faults.injector import FaultStats
 from ..mpisim.comm import Communicator
 from ..mpisim.errors import (
     DeadlineError,
@@ -58,14 +57,10 @@ from ..mpisim.errors import (
     RankCrashError,
     RevokedError,
 )
+from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
 from .checkpoint import BuddyStore, CheckpointPolicy, shared_store
 from .errors import DataLossError
-
-#: Process-wide recovery counters; absorb into a MetricsRegistry via
-#: ``registry.absorb_resilience(RESILIENCE_STATS)``.
-RESILIENCE_STATS = FaultStats()
-
 
 class ResilientRedistributor:
     """Redistributor façade that survives rank crashes mid-exchange.
@@ -336,7 +331,7 @@ class ResilientRedistributor:
             worker_args=worker_args,
             validate=validate,
         )
-        RESILIENCE_STATS.incr("voluntary_resizes")
+        METRICS.incr("resilience.voluntary_resizes")
         self._owns_by_world = {}
         self._needs_by_world = {}
         self.adopted_boxes = []
@@ -369,7 +364,7 @@ class ResilientRedistributor:
                 list(zip(self.own_boxes, bufs)),
                 retain=self.policy.retain,
             )
-        RESILIENCE_STATS.incr("deposits")
+        METRICS.incr("resilience.deposits")
 
     def _epoch_buffers(
         self, epoch: int, pending: int, bufs: Sequence[np.ndarray]
@@ -401,9 +396,9 @@ class ResilientRedistributor:
         if epoch == pending:
             self.stale_boxes = stale
             if stale:
-                RESILIENCE_STATS.incr("stale_restores", len(stale))
+                METRICS.incr("resilience.stale_restores", len(stale))
         else:
-            RESILIENCE_STATS.incr("replays")
+            METRICS.incr("resilience.replays")
         return out
 
     # -- recovery ------------------------------------------------------------
@@ -417,7 +412,7 @@ class ResilientRedistributor:
         outer loop runs recovery again on the shrunken communicator.
         """
         self.recoveries += 1
-        RESILIENCE_STATS.incr("recoveries")
+        METRICS.incr("resilience.recoveries")
         fabric = self.comm.fabric
         with TRACER.span("resilience.recover", rank=self._my_world()):
             self.comm.revoke()
@@ -487,7 +482,7 @@ class ResilientRedistributor:
                     if self._box_needed(box, dead):
                         unrecoverable.append(box)
                     else:
-                        RESILIENCE_STATS.incr("dropped_boxes")
+                        METRICS.incr("resilience.dropped_boxes")
                     continue
                 adopted.append(box)
             if not adopted:
@@ -496,7 +491,7 @@ class ResilientRedistributor:
             if adopter == my_world:
                 self.own_boxes.extend(adopted)
                 self.adopted_boxes.extend(adopted)
-                RESILIENCE_STATS.incr("adopted_boxes", len(adopted))
+                METRICS.incr("resilience.adopted_boxes", len(adopted))
         if unrecoverable:
             raise DataLossError(
                 "unrecoverable chunks (owner and all buddy holders dead) "

@@ -207,8 +207,6 @@ class FrameHub:
         self._viewers: dict[int, ViewerQueue] = {}
         #: layout key -> newest ServedFrame (the stale-serving circuit breaker)
         self._last_good: dict[tuple, ServedFrame] = {}
-        self.frames_published = 0
-        self.frames_ratelimited = 0
         self._last_publish_mono: Optional[float] = None
         self.draining = False
         self.closed = False
@@ -428,7 +426,6 @@ class FrameHub:
         if controller is not None and not force:
             stride = controller.frame_stride
             if stride > 1 and frame_index % stride:
-                self.frames_ratelimited += 1
                 self.metrics.incr("serve.frames_ratelimited")
                 return 0
         quality = (
@@ -476,7 +473,6 @@ class FrameHub:
                     gone.append(queue)
             for queue in gone:
                 self.unregister(queue)
-        self.frames_published += 1
         self.metrics.incr("serve.frames_published")
         elapsed = time.perf_counter() - started
         self.metrics.observe("serve.publish", elapsed)
@@ -504,8 +500,8 @@ class FrameHub:
         ready, reason = self.ready()
         return {
             "viewers": len(viewers),
-            "frames_published": self.frames_published,
-            "frames_ratelimited": self.frames_ratelimited,
+            "frames_published": self.metrics.get("serve.frames_published"),
+            "frames_ratelimited": self.metrics.get("serve.frames_ratelimited"),
             "coalesced_in_flight": sum(q.coalesced for q in viewers),
             "mapping_cache": self.mapping_cache.stats(),
             "counters": dict(self.metrics.counters),
@@ -514,7 +510,7 @@ class FrameHub:
             "admission": {
                 "max_viewers": self.max_viewers,
                 "max_viewers_per_layout": self.max_viewers_per_layout,
-                "rejected": self.metrics.counters.get("serve.admission_rejected", 0),
+                "rejected": self.metrics.get("serve.admission_rejected"),
             },
             "overload": (
                 self.overload.stats() if self.overload is not None else None

@@ -17,6 +17,7 @@ import numpy as np
 from ..core.box import Box
 from ..lbm.decompose import slab_box
 from ..lbm.simulation import LbmConfig, SerialLbm
+from ..obs.tracer import TRACER
 
 __all__ = ["LbmSource", "SyntheticSource"]
 
@@ -82,6 +83,7 @@ class LbmSource(_SlabSource):
 
     def frames(self, n_frames: int) -> Iterator[tuple[int, Sequence[np.ndarray]]]:
         for index in range(n_frames):
-            self._sim.step(self.steps_per_frame)
+            with TRACER.span("serve.sim_step", frame=index, steps=self.steps_per_frame):
+                self._sim.step(self.steps_per_frame)
             field = np.asarray(self._sim.vorticity(), dtype=np.float32)
             yield index, self._split(field)

@@ -10,13 +10,7 @@ from .units import (
     gbit_per_s,
     mb,
 )
-from .timing import (
-    StopwatchRegistry,
-    Timer,
-    TransferCounters,
-    counting_transfers,
-    transfer_counters,
-)
+from .timing import Timer
 from .arrays import StagingPool, as_contiguous, dtype_size, flat_view
 from .membudget import (
     MEMORY_BUDGET,
@@ -35,11 +29,7 @@ __all__ = [
     "MemoryBudget",
     "MiB",
     "StagingPool",
-    "StopwatchRegistry",
     "Timer",
-    "TransferCounters",
-    "counting_transfers",
-    "transfer_counters",
     "as_contiguous",
     "auditing_memory",
     "budget_scope",

@@ -7,8 +7,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from ..obs.metrics import METRICS
 from .membudget import MEMORY_BUDGET
-from .timing import TRANSFER_COUNTERS
 
 #: Default per-pool byte budget.  Overridable through ``DDR_POOL_BUDGET_MB``;
 #: large enough that a single steady-state workload never evicts, small
@@ -34,8 +34,9 @@ class StagingPool:
     pushes it over budget the least-recently-taken entries are dropped
     (never the entry just inserted, so a single oversized array still
     round-trips).  Evictions are counted on the pool itself and, when
-    enabled, in :data:`~repro.utils.timing.TRANSFER_COUNTERS` so the
-    metrics layer can watch cache pressure as mappings proliferate.
+    enabled, as ``transfer.pool_evictions`` in
+    :data:`~repro.obs.metrics.METRICS` so the metrics layer can watch
+    cache pressure as mappings proliferate.
 
     When a process-wide :data:`~repro.utils.membudget.MEMORY_BUDGET` is
     active, every fresh allocation reserves against the owning ``rank``'s
@@ -69,8 +70,8 @@ class StagingPool:
             if MEMORY_BUDGET.active:
                 MEMORY_BUDGET.reserve(nbytes, "staging pool", rank=self.rank)
             array = np.empty(key[0], dtype=key[1])
-            if TRANSFER_COUNTERS.enabled:
-                TRANSFER_COUNTERS.count_alloc(array.nbytes)
+            if METRICS.transfers_enabled:
+                METRICS.count_alloc(array.nbytes)
             self._arrays[key] = array
             self.current_bytes += array.nbytes
             if self.current_bytes > self.peak_bytes:
@@ -97,8 +98,8 @@ class StagingPool:
             self.evictions += 1
             if MEMORY_BUDGET.active:
                 MEMORY_BUDGET.release(victim.nbytes, rank=self.rank)
-            if TRANSFER_COUNTERS.enabled:
-                TRANSFER_COUNTERS.count_eviction(victim.nbytes)
+            if METRICS.transfers_enabled:
+                METRICS.count_eviction(victim.nbytes)
 
     def clear(self) -> None:
         if MEMORY_BUDGET.active and self.current_bytes:

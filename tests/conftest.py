@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mpisim import default_executor, run_spmd
-from repro.utils import transfer_counters
+from repro.obs import METRICS
 
 #: Marker for tests that only make sense when SPMD ranks share one address
 #: space: live zero-copy rendezvous, process-wide counter/blackboard
@@ -26,25 +26,26 @@ def spmd(nprocs, fn, *args, **kwargs):
 
 
 def counted_region(comm, fn):
-    """Collective: run ``fn()`` with transfer counting on, return a snapshot.
+    """Collective: run ``fn()`` with transfer counting on, return the
+    ``transfer.*`` snapshot (keys such as ``copies.direct``; zero counts
+    are absent).
 
     The counters are one process-wide singleton while SPMD ranks are
     threads, so enable/reset must happen on exactly one rank and be fenced
     by barriers — otherwise a late rank's reset wipes counts already made
     by an early one.  The snapshot covers *all* ranks' traffic.
     """
-    counters = transfer_counters()
     comm.Barrier()
     if comm.rank == 0:
-        counters.reset()
-        counters.enabled = True
+        METRICS.reset("transfer.")
+        METRICS.transfers_enabled = True
     comm.Barrier()
     result = fn()
     comm.Barrier()
-    snapshot = counters.snapshot()
+    snapshot = METRICS.snapshot("transfer.")
     comm.Barrier()
     if comm.rank == 0:
-        counters.enabled = False
+        METRICS.transfers_enabled = False
     return result, snapshot
 
 

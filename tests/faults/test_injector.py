@@ -2,7 +2,7 @@
 
 Every test runs a tiny SPMD workload under a scripted ``FaultPlan`` via the
 ``fault_plan`` contextmanager, then asserts on the typed outcome and the
-``FaultStats`` counters.  Scripted specs use ``op=None`` plus tag filters
+``fault.*`` counters in ``METRICS``.  Scripted specs use ``op=None`` plus tag filters
 where possible so the assertions do not depend on exact op numbering.
 """
 
@@ -21,7 +21,7 @@ from repro.mpisim import (
     RetriesExhaustedError,
     TimeoutError_,
 )
-from repro.obs import MetricsRegistry
+from repro.obs import METRICS
 from tests.conftest import spmd
 
 PING_TAG = 7
@@ -63,7 +63,7 @@ class TestLifecycle:
         assert not FAULTS.active
         assert FAULTS.plan is None
         # Stats outlive the plan for post-mortems.
-        assert isinstance(FAULTS.stats.snapshot(), dict)
+        assert isinstance(METRICS.snapshot("fault."), dict)
 
 
 def _ping_ok() -> bool:
@@ -79,7 +79,7 @@ class TestDelay:
         )
         with fault_plan(plan):
             assert _ping_ok()
-            assert FAULTS.stats.get("delays") >= 1
+            assert METRICS.get("fault.delays") >= 1
 
     def test_tag_scoped_delay_fires_on_the_matching_send_only(self):
         """Regression: a ``tag`` used to be ignored for delays, so a
@@ -92,7 +92,7 @@ class TestDelay:
         )
         with fault_plan(FaultPlan(seed=0, nranks=2, events=events)):
             assert _ping_ok()
-            assert FAULTS.stats.get("delays") == 1
+            assert METRICS.get("fault.delays") == 1
 
 
 class TestDrop:
@@ -109,7 +109,7 @@ class TestDrop:
                 spmd(2, _ping)
             assert excinfo.value.rank == 1
             assert isinstance(excinfo.value.original, TimeoutError_)
-            assert FAULTS.stats.get("drops") == 1
+            assert METRICS.get("fault.drops") == 1
 
 
 class TestTransient:
@@ -120,9 +120,9 @@ class TestTransient:
         )
         with fault_plan(plan):  # default policy allows 3 retries
             assert _ping_ok()
-            assert FAULTS.stats.get("transient_send") == 2
-            assert FAULTS.stats.get("retries") == 2
-            assert FAULTS.stats.get("retries_exhausted") == 0
+            assert METRICS.get("fault.transient_send") == 2
+            assert METRICS.get("fault.retries") == 2
+            assert METRICS.get("fault.retries_exhausted") == 0
 
     def test_transient_recv_healed_by_retries(self):
         plan = FaultPlan(
@@ -131,7 +131,7 @@ class TestTransient:
         )
         with fault_plan(plan):
             assert _ping_ok()
-            assert FAULTS.stats.get("transient_recv") == 1
+            assert METRICS.get("fault.transient_recv") == 1
 
     def test_retry_budget_exhaustion_is_typed(self):
         plan = FaultPlan(
@@ -144,7 +144,7 @@ class TestTransient:
                 spmd(2, _ping)
             assert excinfo.value.rank == 0
             assert isinstance(excinfo.value.original, RetriesExhaustedError)
-            assert FAULTS.stats.get("retries_exhausted") == 1
+            assert METRICS.get("fault.retries_exhausted") == 1
 
 
 class TestCorruption:
@@ -157,9 +157,9 @@ class TestCorruption:
         )
         with fault_plan(plan):
             assert _ping_ok()  # bitwise-correct despite the corruption
-            assert FAULTS.stats.get("corruptions") >= 1
-            assert FAULTS.stats.get("corruption_detected") >= 1
-            assert FAULTS.stats.get("reretrieves") >= 1
+            assert METRICS.get("fault.corruptions") >= 1
+            assert METRICS.get("fault.corruption_detected") >= 1
+            assert METRICS.get("fault.reretrieves") >= 1
 
     def test_corruption_raise_mode(self):
         plan = FaultPlan(
@@ -171,7 +171,7 @@ class TestCorruption:
             with pytest.raises(RankFailure) as excinfo:
                 spmd(2, _ping)
             assert isinstance(excinfo.value.original, CorruptionError)
-            assert FAULTS.stats.get("reretrieves") == 0
+            assert METRICS.get("fault.reretrieves") == 0
 
 
 class TestCrash:
@@ -182,20 +182,18 @@ class TestCrash:
                 spmd(2, _ping)
             assert excinfo.value.rank == 0
             assert isinstance(excinfo.value.original, RankCrashError)
-            assert FAULTS.stats.get("crashes") >= 1
+            assert METRICS.get("fault.crashes") >= 1
 
 
 class TestMetricsBridge:
-    def test_absorb_faults_into_registry(self):
+    def test_fault_counters_in_registry(self):
         plan = FaultPlan(
             seed=0, nranks=2,
             events=(FaultSpec(kind="send", rank=0, count=2),),
         )
         with fault_plan(plan):
             assert _ping_ok()
-            registry = MetricsRegistry()
-            registry.absorb_faults(FAULTS.stats)
-            assert registry.counters["fault.transient_send"] == 2
-            assert registry.counters["fault.retries"] == 2
+            assert METRICS.counters["fault.transient_send"] == 2
+            assert METRICS.counters["fault.retries"] == 2
             # Zero counters are not exported.
-            assert "fault.crashes" not in registry.counters
+            assert "fault.crashes" not in METRICS.counters

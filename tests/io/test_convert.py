@@ -41,10 +41,10 @@ class TestConversion:
         out = tmp_path / f"v_{nprocs}_{strategy.value}.bricks"
 
         def fn(comm):
-            timers = convert_stack_to_bricks(
+            phases = convert_stack_to_bricks(
                 comm, tiff_stack, out, brick=5, strategy=strategy
             )
-            return timers.total("read") >= 0
+            return phases["read"] >= 0
 
         assert all(spmd(nprocs, fn))
 

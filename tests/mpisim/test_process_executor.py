@@ -265,7 +265,7 @@ class TestObservability:
 
     def test_fault_stats_merge(self):
         from repro.faults import FaultPlan, fault_plan
-        from repro.faults.injector import FAULTS
+        from repro.obs import METRICS
 
         def fn(comm):
             other = 1 - comm.rank
@@ -279,5 +279,40 @@ class TestObservability:
         plan = FaultPlan(seed=7, nranks=2, p_delay=0.9, delay_max_s=0.001)
         with fault_plan(plan):
             assert all(pspmd(2, fn))
-            stats = FAULTS.stats.snapshot()
+            stats = METRICS.snapshot("fault.")
         assert stats.get("delays", 0) > 0
+
+    def test_resize_and_transfer_counts_merge_across_processes(self):
+        """Regression: only fault counters crossed the process boundary, so
+        a process-executor resize left the parent's resilience delta and
+        its surrounding transfer count at 0 (4 and 8 on threads)."""
+        from repro.core.box import Box
+        from repro.obs import METRICS, counting_transfers
+        from repro.resilience import ResilientRedistributor
+
+        side = 16
+
+        def slab(rank, n):
+            rows = side // n
+            return Box((0, rank * rows), (side, rows))
+
+        def fn(comm):
+            own = slab(comm.rank, comm.size)
+            rr = ResilientRedistributor(comm, ndims=2, dtype=np.float32)
+            rr.setup(own=[own], need=own)
+            out = rr.gather_need(np.full(own.np_shape(), comm.rank, np.float32))
+            return rr.resize(2, out, slab).member
+
+        def run(executor):
+            before = METRICS.get("resilience.voluntary_resizes")
+            with counting_transfers() as metrics:
+                members = pspmd(4, fn, executor=executor)
+                copies = sum(metrics.snapshot("transfer.copies.").values())
+            assert members == [True, True, False, False]
+            return METRICS.get("resilience.voluntary_resizes") - before, copies
+
+        thread_resizes, thread_copies = run("thread")
+        process_resizes, process_copies = run("process")
+        assert thread_resizes == process_resizes == 4
+        assert thread_copies > 0
+        assert process_copies > 0

@@ -1,12 +1,13 @@
-"""MetricsRegistry: histograms, ingestion, legacy-path absorption, summary."""
+"""MetricsRegistry: histograms, ingestion, counters by prefix, summary."""
 
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 from repro.obs import Histogram, MetricsRegistry, SpanRecord
 from repro.obs.metrics import BUCKET_BOUNDS_S
-from repro.utils.timing import StopwatchRegistry, TransferCounters
 
 
 def record(name, rank=0, dur_us=1000.0, **attrs):
@@ -33,16 +34,6 @@ class TestHistogram:
         hist.observe(100.0)  # beyond the last bound -> overflow bucket
         assert hist.buckets[BUCKET_BOUNDS_S.index(1e-3)] == 1
         assert hist.buckets[-1] == 1
-
-    def test_observe_aggregate_folds_mean(self):
-        hist = Histogram()
-        hist.observe_aggregate(count=10, total=0.5)  # mean 50 ms
-        assert hist.count == 10
-        assert hist.total == 0.5
-        assert hist.min == hist.max == 0.05
-        assert hist.buckets[BUCKET_BOUNDS_S.index(1e-1)] == 10
-        hist.observe_aggregate(count=0, total=0.0)  # no-op
-        assert hist.count == 10
 
     def test_merge(self):
         a, b = Histogram(), Histogram()
@@ -78,38 +69,73 @@ class TestRegistry:
         assert registry.counters["mpi.Send.bytes"] == 3072
         assert "ddr.round.bytes" not in registry.counters
 
-    def test_absorb_stopwatches(self):
-        watches = StopwatchRegistry()
-        watches.add("read", 0.2)
-        watches.add("read", 0.4)
-        watches.add("render", 0.1)
+    def test_snapshot_get_by_prefix(self):
         registry = MetricsRegistry()
-        registry.absorb_stopwatches(watches, rank=3)
-        assert registry.histograms["phase.read"].count == 2
-        assert math.isclose(registry.histograms["phase.read"].total, 0.6)
-        assert registry.by_rank[3]["phase.render"].count == 1
+        registry.incr("fault.delays", 2)
+        registry.incr("fault.retries")
+        registry.incr("transfer.allocations")
+        assert registry.snapshot("fault.") == {"delays": 2, "retries": 1}
+        assert registry.snapshot() == {
+            "fault.delays": 2, "fault.retries": 1, "transfer.allocations": 1,
+        }
+        assert registry.get("fault.delays") == 2
+        assert registry.get("fault.crashes") == 0
 
-    def test_absorb_transfers(self):
-        counters = TransferCounters()
-        counters.enabled = True
-        counters.count_copy("pack", 100)
-        counters.count_copy("pack", 50)
-        counters.count_alloc(4096)
+    def test_reset_by_prefix_returns_what_it_dropped(self):
         registry = MetricsRegistry()
-        registry.absorb_transfers(counters)
-        assert registry.counters["transfer.copies.pack"] == 2
-        assert registry.counters["transfer.bytes_copied.pack"] == 150
-        assert registry.counters["transfer.allocations"] == 1
-        assert registry.counters["transfer.bytes_allocated"] == 4096
-        # zero-count kinds are not emitted
-        assert "transfer.copies.unpack" not in registry.counters
+        registry.incr("fault.delays", 3)
+        registry.incr("resilience.recoveries")
+        registry.transfers_enabled = True
+        assert registry.reset("fault.") == {"delays": 3}
+        assert registry.counters == {"resilience.recoveries": 1}
+        assert registry.reset() == {"resilience.recoveries": 1}
+        assert registry.counters == {}
+        assert registry.transfers_enabled  # the guard survives a reset
 
-    def test_absorb_resilience(self):
+    def test_merge_adds_under_prefix(self):
         registry = MetricsRegistry()
-        registry.absorb_resilience({"recoveries": 2, "deposits": 7, "replays": 0})
-        assert registry.counters["resilience.recoveries"] == 2
-        assert registry.counters["resilience.deposits"] == 7
-        assert "resilience.replays" not in registry.counters
+        registry.incr("resilience.recoveries")
+        registry.merge({"recoveries": 2, "deposits": 7}, "resilience.")
+        registry.merge({"fault.drops": 1})
+        assert registry.snapshot("resilience.") == {"recoveries": 3, "deposits": 7}
+        assert registry.get("fault.drops") == 1
+
+    def test_transfer_accounting_names(self):
+        registry = MetricsRegistry()
+        registry.count_copy("pack", 100)
+        registry.count_copy("pack", 50)
+        registry.count_alloc(4096)
+        registry.count_eviction(64)
+        assert registry.snapshot("transfer.") == {
+            "copies.pack": 2,
+            "bytes_copied.pack": 150,
+            "allocations": 1,
+            "bytes_allocated": 4096,
+            "pool_evictions": 1,
+            "bytes_evicted": 64,
+        }
+
+    def test_concurrent_counts_lose_no_update(self):
+        registry = MetricsRegistry()
+
+        def work():
+            for _ in range(2000):
+                registry.count_copy("pack", 2)
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.snapshot("transfer.") == {
+            "copies.pack": 16000, "bytes_copied.pack": 32000,
+        }
 
     def test_summary_lists_spans_and_counters(self):
         registry = MetricsRegistry()

@@ -119,15 +119,15 @@ def test_crash_recovery_after_voluntary_resize():
 
 
 def _stats_worker(comm):
-    from repro.resilience.redistributor import RESILIENCE_STATS
+    from repro.obs import METRICS
 
     rr = ResilientRedistributor(comm, ndims=2, dtype=np.float32)
     own = _slab(comm.rank, comm.size)
     rr.setup(own=[own], need=own)
     out = rr.gather_need(_rows(own).copy())
-    before = RESILIENCE_STATS.snapshot().get("voluntary_resizes", 0)
+    before = METRICS.get("resilience.voluntary_resizes")
     result = rr.resize(2, out, _slab)
-    after = RESILIENCE_STATS.snapshot().get("voluntary_resizes", 0)
+    after = METRICS.get("resilience.voluntary_resizes")
     if not result.member:
         return None
     return after - before

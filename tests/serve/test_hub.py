@@ -9,6 +9,7 @@ from repro.mpisim.executor import world_communicators
 from repro.serve import (
     ConsumerLayout,
     FrameHub,
+    LbmSource,
     ServedFrame,
     SyntheticSource,
     ViewerDisconnectedError,
@@ -183,3 +184,14 @@ class TestHub:
         assert stats["entries"] == 4
         assert stats["evictions"] == 8
         hub.close()
+
+
+class TestLbmSource:
+    def test_sim_step_span_per_frame(self):
+        source = LbmSource(NX, NY, m=M, steps_per_frame=2)
+        with tracing() as tracer:
+            frames = [index for index, _ in source.frames(2)]
+        steps = [r for r in tracer.records() if r.name == "serve.sim_step"]
+        assert frames == [0, 1]
+        assert [r.attrs["frame"] for r in steps] == [0, 1]
+        assert all(r.attrs["steps"] == 2 for r in steps)

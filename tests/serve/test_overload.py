@@ -179,7 +179,7 @@ class TestHubIntegration:
         # Healthy epochs now, so the ladder does not climb further.
         controller.observe(publish_s=0.0)
         assert hub.publish(1, source.slabs(1)) == 0  # off-stride: skipped
-        assert hub.frames_ratelimited == 1
+        assert hub.stats()["frames_ratelimited"] == 1
         assert hub.publish(2, source.slabs(2)) == 1  # on-stride
         assert hub.publish(3, source.slabs(3), force=True) == 1  # final frame
         assert queue.last_index == 3

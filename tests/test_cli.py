@@ -158,6 +158,7 @@ class TestTrace:
         assert all(e["args"]["backend"] in ("alltoallw", "p2p") for e in rounds)
         stdout = capsys.readouterr().out
         assert "ddr.round" in stdout  # summary table printed
+        assert "transfer.copies." in stdout  # ...with the runtime counters
         assert "perfetto" in stdout
 
     def test_trace_redistribute_smoke(self, tmp_path, capsys):

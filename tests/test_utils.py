@@ -10,10 +10,8 @@ import pytest
 from repro.utils import (
     GiB,
     MiB,
-    StopwatchRegistry,
     Timer,
     as_contiguous,
-    counting_transfers,
     dtype_size,
     flat_view,
     fmt_bytes,
@@ -21,8 +19,8 @@ from repro.utils import (
     fmt_seconds,
     gbit_per_s,
     mb,
-    transfer_counters,
 )
+from repro.obs import METRICS, counting_transfers
 from repro.utils.log import (
     _ROOT_NAME,
     disable_console_logging,
@@ -58,23 +56,6 @@ class TestTimer:
         with Timer() as t:
             time.sleep(0.01)
         assert 0.005 < t.elapsed < 1.0
-
-    def test_registry_accumulates(self):
-        reg = StopwatchRegistry()
-        reg.add("read", 1.0)
-        reg.add("read", 2.0)
-        reg.add("comm", 0.5)
-        assert reg.total("read") == pytest.approx(3.0)
-        assert reg.mean("read") == pytest.approx(1.5)
-        assert reg.total("missing") == 0.0
-        assert reg.mean("missing") == 0.0
-
-    def test_registry_scope(self):
-        reg = StopwatchRegistry()
-        with reg.time("phase"):
-            time.sleep(0.005)
-        assert reg.total("phase") > 0.0
-        assert "phase" in reg.summary()
 
 
 class TestArrays:
@@ -141,36 +122,34 @@ class TestConsoleLogging:
         assert len(self._console_handlers()) == 1
 
 
-class TestTransferCounters:
+class TestTransferAccounting:
     def test_count_copy_rejects_unknown_kind(self):
-        counters = transfer_counters()
         with pytest.raises(ValueError, match="unknown copy kind 'teleport'"):
-            counters.count_copy("teleport", 10)
+            METRICS.count_copy("teleport", 10)
 
     def test_nested_counting_preserves_outer_accounting(self):
         """Regression: the inner block's reset used to wipe the outer block's
         counts and its exit left accounting disabled for the rest of the
         outer block."""
-        counters = transfer_counters()
         with counting_transfers() as outer:
             outer.count_copy("pack", 100)
             with counting_transfers() as inner:
-                assert inner.total_copies == 0  # inner block starts from zero
+                # inner block starts from zero
+                assert sum(inner.snapshot("transfer.copies.").values()) == 0
                 inner.count_copy("pack", 30)
-                assert inner.copies["pack"] == 1
-            assert counters.enabled  # outer block is still counting...
-            counters.count_copy("unpack", 5)
+                assert inner.get("transfer.copies.pack") == 1
+            assert METRICS.transfers_enabled  # outer block is still counting...
+            METRICS.count_copy("unpack", 5)
             # ...and sees its own pre-nesting counts plus the inner block's.
-            assert outer.copies["pack"] == 2
-            assert outer.bytes_copied["pack"] == 130
-            assert outer.copies["unpack"] == 1
-        assert not counters.enabled
+            assert outer.get("transfer.copies.pack") == 2
+            assert outer.get("transfer.bytes_copied.pack") == 130
+            assert outer.get("transfer.copies.unpack") == 1
+        assert not METRICS.transfers_enabled
 
     def test_nested_counting_restores_enabled_state(self):
-        counters = transfer_counters()
-        assert not counters.enabled
+        assert not METRICS.transfers_enabled
         with counting_transfers():
             with counting_transfers():
                 pass
-            assert counters.enabled
-        assert not counters.enabled
+            assert METRICS.transfers_enabled
+        assert not METRICS.transfers_enabled
